@@ -21,9 +21,11 @@ import numpy as np
 
 from .circuit import Circuit, ResourceReport, count_resources
 from .estimator import (block_encoding_ancillas, block_encoding_cost, clog2,
-                        p1_cost, p2_cost, select_cost, reflection_cost)
-from .model import (DenseOperator, ModelParams, build_hamiltonian, to_dense,
-                    normalization)
+                        p1_ancillas, p1_cost, p2_ancillas, p2_cost,
+                        select_cost, reflection_cost)
+from .model import (DenseOperator, ModelParams, _add_string,
+                    build_hamiltonian, to_dense, normalization)
+from .simulate import _place, simulate_statevector
 from .subroutines import TALLY_MODEL, _emit_uni, invert_gates
 
 
@@ -86,7 +88,6 @@ def assemble(params: ModelParams, eps: float
         circ.add("COMPOSITE", qubits, cost_t=float(cost), label=kind_label,
                  anc_reusable=anc_r, anc_unreusable=anc_u)
 
-    from .estimator import p1_ancillas, p2_ancillas
     p1_r, p1_u = p1_ancillas(n)
     node("P1", p1c, label + out + (succ1[0],), anc_r=p1_r, anc_u=p1_u)
     node("SEL_XX.c3", select_cost("xx", n, 3), label + out + sys, anc_r=b)
@@ -186,7 +187,6 @@ def semantic_block(params: ModelParams,
     out = np.zeros((dim, dim), dtype=complex)
     for group in (terms.xx, terms.yy, terms.z):
         for ps in group:
-            from .model import _add_string
             _add_string(out, n, ps)
 
     # diagonal cumulative-Z machinery
@@ -304,29 +304,16 @@ def fragment_circuit(params: ModelParams) -> tuple[Circuit, float]:
 
 def fragment_error(params: ModelParams) -> float:
     """|| (H_XX+H_YY+H_Z) - alpha <0|U|0> || for the gate-level fragment."""
-    from .simulate import simulate_statevector
     circ, alpha = fragment_circuit(params)
     n = params.n_sites
     nq = circ.n_qubits
-    dsys = 1 << n
-    block = np.zeros((dsys, dsys), dtype=complex)
+    # basis index of each system value with every other qubit at zero
     sys_qubits = circ.registers["system"].qubits
-    # system occupies contiguous trailing index bits only if allocated last;
-    # map explicitly instead of assuming.
-    from .simulate import reg_values, _mask, _place
-    idx = np.arange(1 << nq)
-    sysv = reg_values(idx, nq, sys_qubits)
-    anc_zero = (idx & ~_mask(nq, sys_qubits)) == 0
-    rows = {int(v): i for v, i in
-            zip(sysv[anc_zero], np.nonzero(anc_zero)[0])}
-    for col in range(dsys):
-        inp = _place(nq, sys_qubits, col)
-        psi = simulate_statevector(circ, inp)
-        sel = np.nonzero(anc_zero)[0]
-        block[sysv[sel], col] = psi[sel]
+    rows = [_place(nq, sys_qubits, v) for v in range(1 << n)]
+    block = np.stack([simulate_statevector(circ, col)[rows] for col in rows],
+                     axis=1)
     terms = build_hamiltonian(params)
-    target = np.zeros((dsys, dsys), dtype=complex)
-    from .model import _add_string
+    target = np.zeros_like(block)
     for group in (terms.xx, terms.yy, terms.z):
         for ps in group:
             _add_string(target, n, ps)

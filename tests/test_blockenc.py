@@ -141,3 +141,11 @@ def test_fragment_matches_semantic():
     assert err < 1e-10
     rec = be.verify(benchmark_params(4), 1e-2, mode="full-statevector")
     assert rec.measured_error < 1e-10 and rec.passed
+
+
+def test_fragment_exact_at_22_qubits():
+    # N=6: 22 qubits and 64 columns, within reach because the simulator
+    # works on the support of each column's state
+    circ, _ = be.fragment_circuit(benchmark_params(6))
+    assert circ.n_qubits == 22
+    assert be.fragment_error(benchmark_params(6)) <= 1e-10

@@ -1,13 +1,8 @@
-import importlib.util
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-import schwinger_be
 from schwinger_be.circuit import (C_ROT, Circuit, CostModel, Gate,
                                   ResourceReport, count_resources, dumps,
                                   loads)
@@ -216,34 +211,3 @@ def test_permutation_checker_rejects_superposition():
     circ.add("H", (0,))
     with pytest.raises(ValueError):
         check_basis_permutation(circ, lambda v: {})
-
-
-def test_numpy_fallback_matches_numba():
-    # Each child imports the same schwinger_be as this process, installed or
-    # not, and reports which statevector backend it selected.  Without numba
-    # both children run the numpy path, so only the fallback switch is checked.
-    code = (
-        "import numpy as np\n"
-        "from schwinger_be import backend\n"
-        "from schwinger_be.circuit import Circuit\n"
-        "from schwinger_be.simulate import simulate_statevector\n"
-        "c = Circuit(); c.add_register('q', 4)\n"
-        "c.add('H', (0,)); c.add('CRY', (0, 2), angle=1.1)\n"
-        "c.add('TOFFOLI', (0, 2, 3)); c.add('REFLECT', (1, 2, 3))\n"
-        "print(backend.USE_NUMBA)\n"
-        "print(repr(simulate_statevector(c).round(12).tolist()))\n")
-    pkg_root = os.path.dirname(os.path.dirname(
-        os.path.abspath(schwinger_be.__file__)))
-    path = os.environ.get("PYTHONPATH")
-    outs = {}
-    for flag in ("0", "1"):
-        env = dict(os.environ, SCHWINGER_BE_NO_NUMBA=flag,
-                   PYTHONPATH=pkg_root + (os.pathsep + path if path else ""))
-        r = subprocess.run([sys.executable, "-c", code],
-                           capture_output=True, text=True, env=env)
-        assert r.returncode == 0, r.stderr
-        outs[flag] = r.stdout.split("\n", 1)
-    has_numba = importlib.util.find_spec("numba") is not None
-    assert outs["1"][0] == "False"
-    assert outs["0"][0] == str(has_numba)
-    assert outs["0"][1] == outs["1"][1]
