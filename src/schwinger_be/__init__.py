@@ -5,8 +5,8 @@ from .model import (ModelParams, PauliString, HamiltonianTerms,
                     NormalizationConstants, DenseOperator, benchmark_params,
                     build_hamiltonian, normalization, to_dense,
                     exact_evolution, vacuum_persistence, particle_density)
-from .circuit import (Gate, Circuit, CostModel, ResourceReport,
-                      count_resources, dumps, loads)
+from .circuit import (Gate, Circuit, ResourceReport, count_resources, dumps,
+                      loads)
 from .simulate import (simulate_statevector, check_basis_permutation,
                        project_success, register_weights)
 from .subroutines import (uni, arithmetic, p_s1, p_s2, p_s3, p1, p2, select,

@@ -156,14 +156,3 @@ def end_to_end_vpa(params: ModelParams, t: float, eps: float, delta: float,
         assert abs(stats.estimate - omega) <= eps
     return stats
 
-
-def run_grid(omegas, eps: float, delta: float, n_runs: int, seed: int = 0,
-             shots_per_round: int = 8):
-    """Seeded Monte-Carlo sweep; returns {omega: [AERunStats, ...]}."""
-    out = {}
-    for i, om in enumerate(omegas):
-        out[om] = [simulate_adaptive_ae(om, eps, delta,
-                                        seed + 100_000 * i + r,
-                                        shots_per_round)
-                   for r in range(n_runs)]
-    return out

@@ -26,7 +26,7 @@ from .estimator import (block_encoding_ancillas, block_encoding_cost, clog2,
 from .model import (DenseOperator, ModelParams, _add_string,
                     build_hamiltonian, to_dense, normalization)
 from .simulate import _place, simulate_statevector
-from .subroutines import TALLY_MODEL, _emit_uni, invert_gates
+from .subroutines import _emit_uni, invert_gates
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ def assemble(params: ModelParams, eps: float
     node("P1.dag", p1c, label + out + (succ1[0],), anc_r=p1_r)
 
     spec = BlockEncodingSpec(alpha=alpha, ancilla_width=2 * b + 3, epsilon=eps)
-    rep = count_resources(circ, TALLY_MODEL)
+    rep = count_resources(circ)
     anc = block_encoding_ancillas(n)
     rep = ResourceReport(t_count=rep.t_count, t_real=rep.t_real,
                          ancilla_reusable=anc - (p1_u + 2),

@@ -4,26 +4,32 @@ Cost accounting follows the fault-tolerant conventions used throughout the
 builders: Clifford gates are free, a Toffoli costs 4 T (measurement-assisted
 uncomputation), an m-controlled X costs 4m-4, an s-qubit reflection about a
 basis pattern costs 4s-8, and a single-qubit rotation synthesized to operator
-norm error eps costs 4*log2(1/eps) + C with C = 5 + 4*log2(1+sqrt(2)).
-Arithmetic blocks (comparator, subtractor, controlled swap, leading-zero
-unary mask) are priced by bit width; inverses of out-of-place arithmetic are
-free and are tagged with ``inverse=True`` so the tally honors that.
+norm error eps costs 4*ceil(log2(1/eps)) + C with C = 5 + 4*log2(1+sqrt(2))
+(eps = ``ROTATION_EPSILON`` for a rotation that carries no budget).  This is
+the convention of the closed forms in :mod:`schwinger_be.estimator`, so every
+builder's tally equals its formula.  Arithmetic blocks (comparator,
+subtractor, controlled swap, leading-zero unary mask) are priced by bit
+width; inverses of out-of-place arithmetic are free and are tagged with
+``inverse=True`` so the tally honors that.  Costs add as reals;
+``ResourceReport.t_count`` ceils the total.
 
 Serialization is line oriented (one gate per line) so circuits can be stored
 as golden files::
 
     # schwinger_be circuit v1
-    register <name> <width> [reusable|unreusable]
-    gate <KIND> <q0,q1,...> [key=value ...]
+    register <name> <q0,q1,...> [reusable|unreusable]
+    gate <KIND> <q0,q1,...> [key=value | flag ...]
 
-Boolean flags serialize as ``inverse`` / ``uncharged``.
+An empty qubit list is written ``-``.  Boolean flags serialize as the bare
+words ``inverse``, ``uncharged`` and ``ctrl_rot``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 
 C_ROT = 5 + 4 * math.log2(1 + math.sqrt(2))
+ROTATION_EPSILON = 1e-10  # synthesis error of a rotation that carries no eps
 
 CLIFFORD = frozenset({"H", "S", "X", "Y", "Z", "CNOT", "CZ", "SWAP"})
 ROTATIONS = frozenset({"RY", "RZ"})
@@ -67,69 +73,52 @@ class Gate:
         return g
 
 
-@dataclass(frozen=True)
-class CostModel:
-    """T-count model. ``rotation_epsilon`` is the per-rotation synthesis
-    error used for gates that do not carry their own budget.
+def _rotation_cost(eps: float | None) -> float:
+    """T cost of one rotation synthesized to error ``eps``
+    (``ROTATION_EPSILON`` when the gate carries no budget)."""
+    e = ROTATION_EPSILON if eps is None else eps
+    return 4 * math.ceil(math.log2(1 / e)) + C_ROT
 
-    Costs are accumulated as reals; ``ResourceReport.t_count`` ceils the
-    final total.  ``ceil_per_rotation`` switches each rotation to
-    4*ceil(log2(1/eps)) + C, which is the convention of the closed-form
-    subroutine costs and is required to reproduce them exactly.
-    """
-    rotation_epsilon: float = 1e-10
-    constant_c: float = C_ROT
-    ceil_per_rotation: bool = False
 
-    def __post_init__(self):
-        if not 0 < self.rotation_epsilon < 1:
-            raise ValueError("rotation_epsilon must be in (0,1)")
-
-    def rotation_cost(self, eps: float | None) -> float:
-        e = self.rotation_epsilon if eps is None else eps
-        x = math.log2(1 / e)
-        if self.ceil_per_rotation:
-            x = math.ceil(x)
-        return 4 * x + self.constant_c
-
-    def gate_cost(self, g: Gate) -> float:
-        if not g.charged:
-            return 0.0
-        if g.cost_t >= 0:
-            return g.cost_t
-        k = g.kind
-        if k in CLIFFORD:
-            return 0.0
-        if k == "T":
-            return 1.0
-        if k in ("TOFFOLI", "CH"):
-            return 4.0
-        if k == "MCX":
-            return 4 * (len(g.qubits) - 1) - 4
-        if k in ROTATIONS:
-            return self.rotation_cost(g.eps)
-        if k in CTRL_ROTATIONS:
-            return 2 * self.rotation_cost(g.eps)
-        if k == "REFLECT":
-            s = g.width or len(g.qubits)
-            return max(4 * s - 8, 0)
-        if k == "PHASE0":
-            s = g.width or len(g.qubits)
-            n_rot = 2 if g.ctrl_rot else 1
-            return max(4 * s - 8, 0) + n_rot * self.rotation_cost(g.eps)
-        if g.inverse and k in ("INEQ", "SUB", "ADDC", "UNA"):
-            return 0.0
-        if k == "INEQ":
-            return 4 * g.width
-        if k in ("SUB", "ADDC", "UNA"):
-            return 4 * g.width - 4
-        if k == "CSWAP":
-            return 7 * g.width
-        if k == "CCSWAP":
-            return 7 * g.width + 4
-        if k in SELECTS or k == "COMPOSITE":
-            raise ValueError(f"{k} gate requires an explicit cost annotation")
-        raise ValueError(f"unknown gate kind {k}")
+def gate_cost(g: Gate) -> float:
+    """T cost of one gate under the conventions of the module docstring."""
+    if not g.charged:
+        return 0.0
+    if g.cost_t >= 0:
+        return g.cost_t
+    k = g.kind
+    if k in CLIFFORD:
+        return 0.0
+    if k == "T":
+        return 1.0
+    if k in ("TOFFOLI", "CH"):
+        return 4.0
+    if k == "MCX":
+        return 4 * (len(g.qubits) - 1) - 4
+    if k in ROTATIONS:
+        return _rotation_cost(g.eps)
+    if k in CTRL_ROTATIONS:
+        return 2 * _rotation_cost(g.eps)
+    if k == "REFLECT":
+        s = g.width or len(g.qubits)
+        return max(4 * s - 8, 0)
+    if k == "PHASE0":
+        s = g.width or len(g.qubits)
+        n_rot = 2 if g.ctrl_rot else 1
+        return max(4 * s - 8, 0) + n_rot * _rotation_cost(g.eps)
+    if g.inverse and k in ("INEQ", "SUB", "ADDC", "UNA"):
+        return 0.0
+    if k == "INEQ":
+        return 4 * g.width
+    if k in ("SUB", "ADDC", "UNA"):
+        return 4 * g.width - 4
+    if k == "CSWAP":
+        return 7 * g.width
+    if k == "CCSWAP":
+        return 7 * g.width + 4
+    if k in SELECTS or k == "COMPOSITE":
+        raise ValueError(f"{k} gate requires an explicit cost annotation")
+    raise ValueError(f"unknown gate kind {k}")
 
 
 @dataclass(frozen=True)
@@ -288,9 +277,8 @@ class Circuit:
         return peak_reuse, unreusable_total, peak_total
 
 
-def count_resources(circuit: Circuit, cost: CostModel | None = None) -> ResourceReport:
-    cost = cost or CostModel()
-    t_real = sum(cost.gate_cost(g) for g in circuit.gates)
+def count_resources(circuit: Circuit) -> ResourceReport:
+    t_real = sum(gate_cost(g) for g in circuit.gates)
     peak_reuse, unreusable, peak_total = circuit.ancilla_profile()
     return ResourceReport(
         t_count=math.ceil(t_real - 1e-9) if t_real > 0 else 0,
@@ -306,47 +294,55 @@ def count_resources(circuit: Circuit, cost: CostModel | None = None) -> Resource
 _HEADER = "# schwinger_be circuit v1"
 
 
+def _ints(text: str) -> tuple[int, ...]:
+    return () if text == "-" else tuple(int(x) for x in text.split(","))
+
+
+def _text(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(map(str, value)) or "-"
+    return value if isinstance(value, str) else repr(value)
+
+
+#: Gate fields in text order as (field, key, parser).  A field is written
+#: only when it differs from its default: ``key=value``, or for a boolean
+#: (parser ``None``) the bare flag word ``key``.
+_FIELDS = (("angle", "angle", float), ("eps", "eps", float),
+           ("width", "width", int), ("splits", "splits", _ints),
+           ("const", "const", int), ("pattern", "pattern", int),
+           ("n_terms", "n_terms", int), ("cost_t", "cost_t", float),
+           ("inverse", "inverse", None), ("charged", "uncharged", None),
+           ("ctrl_rot", "ctrl_rot", None),
+           ("anc_reusable", "anc_reusable", int),
+           ("anc_unreusable", "anc_unreusable", int),
+           ("label", "label", str))
+_DEFAULTS = {f.name: f.default for f in fields(Gate)}
+_BY_KEY = {key: (name, parse) for name, key, parse in _FIELDS}
+
+
 def dumps(circuit: Circuit) -> str:
     lines = [_HEADER]
     for reg in circuit.registers.values():
-        qs = ",".join(map(str, reg.qubits)) if reg.qubits else "-"
+        line = f"register {reg.name} {_text(reg.qubits)}"
         if reg.is_ancilla:
-            kind = "reusable" if reg.reusable else "unreusable"
-            lines.append(f"register {reg.name} {qs} {kind}")
-        else:
-            lines.append(f"register {reg.name} {qs}")
+            line += " reusable" if reg.reusable else " unreusable"
+        lines.append(line)
     for g in circuit.gates:
-        parts = [f"gate {g.kind} {','.join(map(str, g.qubits))}"]
-        if g.angle:
-            parts.append(f"angle={g.angle!r}")
-        if g.eps is not None:
-            parts.append(f"eps={g.eps!r}")
-        if g.width:
-            parts.append(f"width={g.width}")
-        if g.splits:
-            parts.append(f"splits={','.join(map(str, g.splits))}")
-        if g.const:
-            parts.append(f"const={g.const}")
-        if g.pattern >= 0:
-            parts.append(f"pattern={g.pattern}")
-        if g.n_terms:
-            parts.append(f"n_terms={g.n_terms}")
-        if g.cost_t >= 0:
-            parts.append(f"cost_t={g.cost_t!r}")
-        if g.inverse:
-            parts.append("inverse")
-        if not g.charged:
-            parts.append("uncharged")
-        if g.ctrl_rot:
-            parts.append("ctrl_rot")
-        if g.anc_reusable:
-            parts.append(f"anc_reusable={g.anc_reusable}")
-        if g.anc_unreusable:
-            parts.append(f"anc_unreusable={g.anc_unreusable}")
-        if g.label:
-            parts.append(f"label={g.label}")
+        parts = [f"gate {g.kind} {_text(g.qubits)}"]
+        for name, key, parse in _FIELDS:
+            value = getattr(g, name)
+            if value != _DEFAULTS[name]:
+                parts.append(key if parse is None else f"{key}={_text(value)}")
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
+
+
+def _gate_field(item: str, line: str) -> tuple[str, object]:
+    key, eq, text = item.partition("=")
+    name, parse = _BY_KEY.get(key, (None, None))
+    if name is None or (parse is None) == bool(eq):
+        raise ValueError(f"bad token {item!r} in line {line!r}")
+    return name, (not _DEFAULTS[name]) if parse is None else parse(text)
 
 
 def loads(text: str) -> Circuit:
@@ -356,53 +352,19 @@ def loads(text: str) -> Circuit:
     circ = Circuit()
     for ln in lines[1:]:
         tok = ln.split()
-        if tok[0] == "register":
-            name = tok[1]
-            qubits = (tuple(int(x) for x in tok[2].split(","))
-                      if tok[2] != "-" else ())
-            if len(tok) > 3:
-                reg = _Register(name, qubits, True, tok[3] == "reusable")
-            else:
-                reg = _Register(name, qubits, False, False)
-            circ.registers[name] = reg
+        if tok[0] == "register" and len(tok) in (3, 4):
+            name, qubits = tok[1], _ints(tok[2])
+            if name in circ.registers:
+                raise ValueError(f"register {name!r} repeated in line {ln!r}")
+            if len(tok) == 4 and tok[3] not in ("reusable", "unreusable"):
+                raise ValueError(f"bad ancilla kind in line {ln!r}")
+            circ.registers[name] = _Register(name, qubits, len(tok) == 4,
+                                             tok[3:] == ["reusable"])
             circ._events.append(("alloc", name))
             circ._n_slots = max([circ._n_slots] + [q + 1 for q in qubits])
-        elif tok[0] == "gate":
-            kind = tok[1]
-            qubits = tuple(int(x) for x in tok[2].split(",")) if tok[2] != "-" else ()
-            kw: dict = {}
-            for item in tok[3:]:
-                if item == "inverse":
-                    kw["inverse"] = True
-                elif item == "uncharged":
-                    kw["charged"] = False
-                elif item == "ctrl_rot":
-                    kw["ctrl_rot"] = True
-                elif item.startswith("anc_reusable="):
-                    kw["anc_reusable"] = int(item.split("=")[1])
-                elif item.startswith("anc_unreusable="):
-                    kw["anc_unreusable"] = int(item.split("=")[1])
-                elif item.startswith("angle="):
-                    kw["angle"] = float(item[6:])
-                elif item.startswith("eps="):
-                    kw["eps"] = float(item[4:])
-                elif item.startswith("width="):
-                    kw["width"] = int(item[6:])
-                elif item.startswith("splits="):
-                    kw["splits"] = tuple(int(x) for x in item[7:].split(","))
-                elif item.startswith("const="):
-                    kw["const"] = int(item[6:])
-                elif item.startswith("pattern="):
-                    kw["pattern"] = int(item[8:])
-                elif item.startswith("n_terms="):
-                    kw["n_terms"] = int(item[8:])
-                elif item.startswith("cost_t="):
-                    kw["cost_t"] = float(item[7:])
-                elif item.startswith("label="):
-                    kw["label"] = item[6:]
-                else:
-                    raise ValueError(f"bad token {item!r} in line {ln!r}")
-            circ.append(Gate(kind=kind, qubits=qubits, **kw))
+        elif tok[0] == "gate" and len(tok) >= 3:
+            kw = dict(_gate_field(item, ln) for item in tok[3:])
+            circ.append(Gate(kind=tok[1], qubits=_ints(tok[2]), **kw))
         else:
             raise ValueError(f"bad line {ln!r}")
     return circ

@@ -3,10 +3,8 @@
 The formula layer mirrors the construction layer one-to-one: every
 subroutine builder has a cost function here, and the full block-encoding,
 time-evolution, and vacuum-persistence estimates compose them exactly the
-way the circuits compose.  Logs appear ceiled, matching the closed forms
-the construction satisfies (``ceil_logs=False`` switches every such log to
-its real value; both conventions are exposed because the rounding used for
-the published end-to-end table is not recoverable from it).
+way the circuits compose.  Logs appear ceiled, matching the per-rotation
+cost that :func:`schwinger_be.circuit.count_resources` charges.
 
 All T counts are reals (the rotation-synthesis constant C is irrational);
 ``ResourceReport.t_count`` holds the ceiled integer and ``t_real`` the raw
@@ -48,12 +46,8 @@ def clog2(x) -> int:
     return math.ceil(math.log2(x))
 
 
-def _log(x: float, ceil_logs: bool) -> float:
-    return math.ceil(math.log2(x)) if ceil_logs else math.log2(x)
-
-
-def rotation_cost(eps: float, ceil_logs: bool = True) -> float:
-    return 4 * _log(1 / eps, ceil_logs) + C_ROT
+def rotation_cost(eps: float) -> float:
+    return 4 * clog2(1 / eps) + C_ROT
 
 
 def reflection_cost(s: int) -> float:
@@ -64,18 +58,13 @@ def reflection_cost(s: int) -> float:
 # -- subroutine closed forms (match the builders gate for gate) --------------
 
 
-def uni_cost(m: int, eps: float, controlled: bool = False,
-             ceil_logs: bool = True) -> float:
+def uni_cost(m: int, eps: float, controlled: bool = False) -> float:
     ft = factor_two(m)
     l = clog2(ft.r)
-    t = 8 * _log(2 / eps, ceil_logs) + 12 * l + 2 * C_ROT - 4
+    t = 8 * clog2(2 / eps) + 12 * l + 2 * C_ROT - 4
     if controlled:
         t += 4 * ft.z + 4 * l + 12
     return t
-
-
-def uni_ancillas(m: int) -> int:
-    return 2 * clog2(factor_two(m).r)
 
 
 def ineq_cost(s: int) -> float:
@@ -94,62 +83,58 @@ def una_cost(s: int) -> float:
     return 4 * s - 4
 
 
-def ps1_cost(n: int, eps: float, controlled: bool = False,
-             ceil_logs: bool = True) -> float:
+def ps1_cost(n: int, eps: float, controlled: bool = False) -> float:
     np_ = -(-n // 2)
     bp = clog2(np_)
     if not controlled:
-        return (uni_cost(np_, eps / 2, False, ceil_logs)
-                + uni_cost(np_ - 1, eps / 2, False, ceil_logs)
+        return (uni_cost(np_, eps / 2, False)
+                + uni_cost(np_ - 1, eps / 2, False)
                 + sub_cost(bp) + ineq_cost(bp + 1) + cswap_cost(bp) + 4)
-    return (uni_cost(np_, eps / 2, True, ceil_logs)
-            + uni_cost(np_ - 1, eps / 2, True, ceil_logs)
+    return (uni_cost(np_, eps / 2, True)
+            + uni_cost(np_ - 1, eps / 2, True)
             + 2 * sub_cost(bp) + ineq_cost(bp + 1) + cswap_cost(bp, True))
 
 
-def ps2_cost(n: int, eps: float, controlled: bool = False,
-             ceil_logs: bool = True) -> float:
+def ps2_cost(n: int, eps: float, controlled: bool = False) -> float:
     npp = n // 2
     bpp = clog2(npp)
     if not controlled:
-        return (2 * uni_cost(npp, eps / 2, False, ceil_logs)
+        return (2 * uni_cost(npp, eps / 2, False)
                 + sub_cost(bpp) + ineq_cost(bpp + 1) + cswap_cost(bpp) + 4)
-    return (2 * uni_cost(npp, eps / 2, True, ceil_logs)
+    return (2 * uni_cost(npp, eps / 2, True)
             + 2 * sub_cost(bpp) + ineq_cost(bpp + 1) + cswap_cost(bpp, True))
 
 
-def ps3_prime_cost(n: int, eps: float, controlled: bool = False,
-                   ceil_logs: bool = True) -> float:
+def ps3_prime_cost(n: int, eps: float, controlled: bool = False) -> float:
     b = clog2(n)
     if not controlled:
-        return 3 * uni_cost(n, eps / 3, False, ceil_logs) + ineq_cost(b) + 4
+        return 3 * uni_cost(n, eps / 3, False) + ineq_cost(b) + 4
     # controlled variant: one UNI and the flag Toffoli become controlled;
     # the aggregate chain prices the controlled Toffoli at its plain cost
     # because its own controls are zeroed whenever the outer control is off.
-    return (uni_cost(n, eps / 3, True, ceil_logs)
-            + 2 * uni_cost(n, eps / 3, False, ceil_logs) + ineq_cost(b) + 4)
+    return (uni_cost(n, eps / 3, True)
+            + 2 * uni_cost(n, eps / 3, False) + ineq_cost(b) + 4)
 
 
-def ps3_cost(n: int, eps: float, controlled: bool = False,
-             ceil_logs: bool = True) -> float:
+def ps3_cost(n: int, eps: float, controlled: bool = False) -> float:
     b = clog2(n)
     if not controlled:
-        return (3 * ps3_prime_cost(n, 6 * eps / 20, False, ceil_logs)
-                + 2 * rotation_cost(eps / 20, ceil_logs)
+        return (3 * ps3_prime_cost(n, 6 * eps / 20, False)
+                + 2 * rotation_cost(eps / 20)
                 + reflection_cost(2 * b + 3) + 2 * reflection_cost(b + 3))
-    return (ps3_prime_cost(n, 6 * eps / 20, True, ceil_logs)
-            + 2 * ps3_prime_cost(n, 6 * eps / 20, False, ceil_logs)
-            + 2 * rotation_cost(eps / 20, ceil_logs)
+    return (ps3_prime_cost(n, 6 * eps / 20, True)
+            + 2 * ps3_prime_cost(n, 6 * eps / 20, False)
+            + 2 * rotation_cost(eps / 20)
             + reflection_cost(2 * b + 4) + 2 * reflection_cost(b + 4))
 
 
-def p1_cost(n: int, eps: float, ceil_logs: bool = True) -> float:
-    return (ps1_cost(n, 4 * eps / 39, True, ceil_logs)
-            + ps2_cost(n, 4 * eps / 39, True, ceil_logs)
-            + ps3_cost(n, 20 * eps / 39, True, ceil_logs)
-            + uni_cost(n - 1, 2 * eps / 39, True, ceil_logs)
-            + uni_cost(n, 2 * eps / 39, True, ceil_logs)
-            + 7 * rotation_cost(eps / 39, ceil_logs) + 44)
+def p1_cost(n: int, eps: float) -> float:
+    return (ps1_cost(n, 4 * eps / 39, True)
+            + ps2_cost(n, 4 * eps / 39, True)
+            + ps3_cost(n, 20 * eps / 39, True)
+            + uni_cost(n - 1, 2 * eps / 39, True)
+            + uni_cost(n, 2 * eps / 39, True)
+            + 7 * rotation_cost(eps / 39) + 44)
 
 
 def p1_ancillas(n: int) -> tuple[int, int]:
@@ -172,19 +157,19 @@ def amplification_rounds(delta: float) -> int:
     return d + 1 if d % 2 == 0 else max(d, 1)
 
 
-def p2_cost(n: int, eps: float, delta: float, controlled: bool = False,
-            ceil_logs: bool = True) -> float:
+def p2_cost(n: int, eps: float, delta: float,
+            controlled: bool = False) -> float:
     b = clog2(n)
     d = amplification_rounds(delta)
     if controlled:
-        it = (d - 1) / 2 * (4 * rotation_cost(eps / (2 * d), ceil_logs)
+        it = (d - 1) / 2 * (4 * rotation_cost(eps / (2 * d))
                             + ineq_cost(b) + 8 * b + reflection_cost(b + 1))
-        base = (2 * rotation_cost(eps / (2 * d), ceil_logs) + 2 * ineq_cost(b)
+        base = (2 * rotation_cost(eps / (2 * d)) + 2 * ineq_cost(b)
                 + 8 * b + sub_cost(b) + una_cost(b) + 4)
     else:
-        it = (d - 1) / 2 * (2 * rotation_cost(eps / d, ceil_logs)
+        it = (d - 1) / 2 * (2 * rotation_cost(eps / d)
                             + ineq_cost(b) + 8 * b + reflection_cost(b + 1))
-        base = (rotation_cost(eps / d, ceil_logs) + 2 * ineq_cost(b)
+        base = (rotation_cost(eps / d) + 2 * ineq_cost(b)
                 + 4 * b + sub_cost(b) + una_cost(b))
     return it + base
 
@@ -221,8 +206,7 @@ def block_encoding_ancillas(n: int) -> int:
             + max(2 * clog2(np_) + clog2(np_ - 1), 3 * clog2(npp)) + 6)
 
 
-def block_encoding_cost(params: ModelParams, eps: float,
-                        ceil_logs: bool = True) -> ResourceReport:
+def block_encoding_cost(params: ModelParams, eps: float) -> ResourceReport:
     """Full block-encoding cost: four controlled prefix preparations, two
     coefficient preparations, five controlled SELECTs, one reflection."""
     n = params.n_sites
@@ -232,8 +216,8 @@ def block_encoding_cost(params: ModelParams, eps: float,
     alpha = normalization(params).alpha_s
     b = clog2(n)
     e1 = eps / (14 * alpha)
-    t = (4 * p2_cost(n, e1, e1, True, ceil_logs)
-         + 2 * p1_cost(n, e1, ceil_logs)
+    t = (4 * p2_cost(n, e1, e1, True)
+         + 2 * p1_cost(n, e1)
          + select_cost("xx", n, 3) + select_cost("yy", n, 3)
          + select_cost("z", n, 2) + select_cost("z2", n, 3)
          + select_cost("z2", n, 4)
@@ -253,8 +237,8 @@ def evolution_rounds(alpha: float, t: float, eps: float) -> int:
     return r + 1 if r % 2 == 1 else r
 
 
-def evolution_cost(params: ModelParams, t: float, eps: float,
-                   ceil_logs: bool = True) -> ResourceReport:
+def evolution_cost(params: ModelParams, t: float,
+                   eps: float) -> ResourceReport:
     """T cost of a unit-normalized block-encoding of exp(-iHt)."""
     n = params.n_sites
     _check_system(n)
@@ -266,8 +250,8 @@ def evolution_cost(params: ModelParams, t: float, eps: float,
         return ResourceReport(0, 0.0, 0, 0, n + 2 * b + 5)
     alpha = normalization(params).alpha_s
     r = evolution_rounds(alpha, t, eps)
-    chs = block_encoding_cost(params, eps / (3 * abs(t)), ceil_logs).t_real
-    lg = _log(18 * (2 * r + 1) / eps, ceil_logs)
+    chs = block_encoding_cost(params, eps / (3 * abs(t))).t_real
+    lg = clog2(18 * (2 * r + 1) / eps)
     t_total = (r * (3 * chs + 48 * lg + 24 * b + 12 * C_ROT + 24)
                + 3 * chs + 24 * lg + 40 * b + 6 * C_ROT + 120)
     _, p1_junk = p1_ancillas(n)
@@ -290,8 +274,7 @@ def vpa_ancillas(n: int) -> int:
     return max(n + 2 * b + 3, block_encoding_ancillas(n))
 
 
-def vpa_cost(params: ModelParams, t: float,
-             ceil_logs: bool = True) -> ResourceReport:
+def vpa_cost(params: ModelParams, t: float) -> ResourceReport:
     """End-to-end T count for estimating |G(t)| to 0.01 with confidence 0.95.
 
     2000 reflection queries on average; a state reflection costs two
@@ -301,7 +284,7 @@ def vpa_cost(params: ModelParams, t: float,
     n = params.n_sites
     _check_system(n)
     b = clog2(n)
-    ct = evolution_cost(params, t, VPA_EVOLUTION_EPS, ceil_logs).t_real
+    ct = evolution_cost(params, t, VPA_EVOLUTION_EPS).t_real
     t_total = AE_TOTAL_QUERIES * (ct + 4 * n + 8 * b + 12)
     anc = vpa_ancillas(n)
     return ResourceReport(
@@ -332,15 +315,15 @@ TABLE3_N = (16, 32, 64, 128, 256)
 TABLE3_WT = (1.0, 10.0, 100.0)
 
 
-def table3(n_values=TABLE3_N, wt_values=TABLE3_WT, rate: float = DEFAULT_T_RATE,
-           ceil_logs: bool = True) -> list[EstimateRow]:
+def table3(n_values=TABLE3_N, wt_values=TABLE3_WT,
+           rate: float = DEFAULT_T_RATE) -> list[EstimateRow]:
     """End-to-end estimates over the benchmark grid (eps = 0.01 total)."""
     rows = []
     for n in n_values:
         params = benchmark_params(n)
         for wt in wt_values:
             t = wt / params.w
-            rep = vpa_cost(params, t, ceil_logs)
+            rep = vpa_cost(params, t)
             rows.append(EstimateRow(
                 n_sites=n, wt=wt, epsilon=0.01,
                 t_count=rep.t_real,

@@ -271,15 +271,6 @@ def simulate_statevector(circuit: Circuit, input_state=None,
     return backend.to_vector(state, dim)
 
 
-def to_unitary(circuit: Circuit, limit: int = 12) -> np.ndarray:
-    n = circuit.n_qubits
-    if n > limit:
-        raise ValueError("to_unitary limited to small circuits")
-    dim = 1 << n
-    cols = [simulate_statevector(circuit, j) for j in range(dim)]
-    return np.stack(cols, axis=1)
-
-
 # -- basis-permutation verification ------------------------------------------
 
 

@@ -1,8 +1,9 @@
 """Gate-level builders for every PREPARE/SELECT building block.
 
-Each builder returns ``(Circuit, ResourceReport)``; on non-degenerate sizes
-the report equals the matching closed form in :mod:`schwinger_be.estimator`
-under the per-rotation-ceiling cost model (asserted in tests).
+Each builder returns ``(Circuit, ResourceReport)``, the report being
+``count_resources`` of the circuit; on non-degenerate sizes it equals the
+matching closed form in :mod:`schwinger_be.estimator` (both asserted in
+tests).
 Power-of-two sizes short-circuit the uniform-superposition machinery to bare
 Hadamards; pass ``short_circuit=False`` to force the general construction.
 
@@ -25,11 +26,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .circuit import Circuit, CostModel, Gate, ResourceReport, count_resources
+from .circuit import Circuit, Gate, ResourceReport, count_resources
 from .estimator import amplification_rounds, clog2, factor_two, select_cost
 from .model import ModelParams, normalization
 
-TALLY_MODEL = CostModel(ceil_per_rotation=True)
 
 def _name(circ: "Circuit", tag: str) -> str:
     """Deterministic fresh register name, unique within the circuit."""
@@ -39,7 +39,7 @@ def _name(circ: "Circuit", tag: str) -> str:
 
 
 def _report(circ: Circuit) -> tuple[Circuit, ResourceReport]:
-    rep = count_resources(circ, TALLY_MODEL)
+    rep = count_resources(circ)
     circ.metadata["report"] = rep
     return circ, rep
 
@@ -71,6 +71,24 @@ class JunkPool:
 
     def reset(self) -> None:
         self.pos = 0
+
+
+def _take_junk(circ: Circuit, junk: JunkPool | None, width: int,
+               name: str) -> tuple[int, ...]:
+    """``width`` junk qubits from ``junk``, or from a fresh unreusable
+    register named after ``name`` when there is no shared pool."""
+    if junk is None:
+        return circ.alloc_ancilla(_name(circ, name), width, reusable=False)
+    return junk.take(width)
+
+
+def _pattern(qubits, ones) -> int:
+    """Basis pattern over ``qubits`` (first qubit is the top bit) with the
+    qubits in ``ones`` set to 1."""
+    pattern = 0
+    for q in qubits:
+        pattern = pattern << 1 | int(q in ones)
+    return pattern
 
 
 # -- gate-sequence tools -------------------------------------------------------
@@ -377,19 +395,14 @@ def _emit_ps_even_odd(circ: Circuit, out, m_half: int, eps: float, *,
     top = out[:bh]
     parity = out[-1]
 
-    def take(width, name):
-        if junk is None:
-            return circ.alloc_ancilla(_name(circ, name), width, reusable=False)
-        return junk.take(width)
-
-    jreg = take(bj, "psj")
+    jreg = _take_junk(circ, junk, bj, "psj")
     u1 = _emit_uni(circ, top, m_half, eps / 2, ctrl=ctrl,
                    short_circuit=short_circuit, tag="psa", junk=junk)
     u2 = _emit_uni(circ, jreg, m_second, eps / 2, ctrl=ctrl,
                    short_circuit=short_circuit, tag="psb", junk=junk)
     conditions = list(u1.conditions) + list(u2.conditions)
     if ctrl is None and u1.uc is not None and u2.uc is not None:
-        both = take(1, "psboth")[0]
+        both = _take_junk(circ, junk, 1, "psboth")[0]
         circ.add("TOFFOLI", (u1.uc, u2.uc, both))
         conditions = [("bit", both, 1),
                       ("bit", u1.flag, 1), ("bit", u2.flag, 1)]
@@ -401,13 +414,13 @@ def _emit_ps_even_odd(circ: Circuit, out, m_half: int, eps: float, *,
 
     # complement register alt := m_half - 1 - i
     alt_shift = m_half - (1 << bh)
-    alt = take(bh, "psalt")
+    alt = _take_junk(circ, junk, bh, "psalt")
     _copy(circ, top, alt)
     for q in alt:
         circ.add("X", (q,))
     _addc(circ, alt, alt_shift)
     # doubled index keep := 2i (+1 when odd), one extra low bit
-    keep = take(bh + 1, "pskeep")
+    keep = _take_junk(circ, junk, bh + 1, "pskeep")
     _copy(circ, top, keep[:bh])
     if odd:
         if ctrl is None:
@@ -416,7 +429,7 @@ def _emit_ps_even_odd(circ: Circuit, out, m_half: int, eps: float, *,
             circ.add("CNOT", (ctrl, keep[-1]))
     # branch on keep <= j and swap in the complement there
     if ctrl is None:
-        c = take(1, "psc")[0]
+        c = _take_junk(circ, junk, 1, "psc")[0]
         _ineq(circ, keep, jreg, c, bh + 1)
         circ.add("CSWAP", (c,) + tuple(top) + tuple(alt), width=bh)
     else:
@@ -492,14 +505,9 @@ def _emit_ps3(circ: Circuit, out, n: int, eps: float, *,
     theta = 2 * math.asin(
         math.sqrt(3 * n ** 3 / (2 * n * (n - 1) * (2 * n - 1))))
 
-    def take(width, name):
-        if junk is None:
-            return circ.alloc_ancilla(_name(circ, name), width, reusable=False)
-        return junk.take(width)
-
-    nprime = take(b, f"{tag}np")
-    c = take(1, f"{tag}c")[0]
-    succ = take(1, f"{tag}succ")[0]
+    nprime = _take_junk(circ, junk, b, f"{tag}np")
+    c = _take_junk(circ, junk, 1, f"{tag}c")[0]
+    succ = _take_junk(circ, junk, 1, f"{tag}succ")[0]
     one = None
     one_name = None
     if factor_two(n).r == 1 and short_circuit:
@@ -509,7 +517,7 @@ def _emit_ps3(circ: Circuit, out, n: int, eps: float, *,
             circ.add("X", (one,))
         else:
             circ.add("CNOT", (ctrl, one))
-    rot = take(1, f"{tag}rot")[0]
+    rot = _take_junk(circ, junk, 1, f"{tag}rot")[0]
 
     # A: comparison ladder (P_S3') then the half-amplitude rotation
     g0 = len(circ.gates)
@@ -533,33 +541,20 @@ def _emit_ps3(circ: Circuit, out, n: int, eps: float, *,
     # R_T: reflect about the flagged target subspace (pattern: second
     # register restored to zero, comparison and combined flags set, rotated
     # qubit set; entangled inversion leftovers pinned to zero)
-    t_qubits = list(nprime) + [c, succ, rot]
-    ones = {c, succ, rot}
-    for q in u2.internal:
-        t_qubits.append(q)
+    t_qubits = list(nprime) + [c, succ, rot] + list(u2.internal)
     if ctrl is not None:
         t_qubits = [ctrl] + t_qubits
-        ones.add(ctrl)
-    pattern = 0
-    for k, q in enumerate(t_qubits):
-        if q in ones:
-            pattern |= 1 << (len(t_qubits) - 1 - k)
-    circ.add("REFLECT", tuple(t_qubits), pattern=pattern,
+    circ.add("REFLECT", tuple(t_qubits),
+             pattern=_pattern(t_qubits, {ctrl, c, succ, rot}),
              width=b + 3 + (1 if ctrl is not None else 0))
 
     # R_psi = A R0 A^dag about the pre-A state (support zeros, helper ones)
     circ.extend(invert_gates(a_unctrl))
-    supp = sorted(_support(a_unctrl))
-    r0_qubits = list(supp)
-    r0_ones = {one} if (one is not None and one in set(supp)) else set()
+    r0_qubits = sorted(_support(a_unctrl))
     if ctrl is not None:
         r0_qubits = [ctrl] + r0_qubits
-        r0_ones.add(ctrl)
-    pattern = 0
-    for k, q in enumerate(r0_qubits):
-        if q in r0_ones:
-            pattern |= 1 << (len(r0_qubits) - 1 - k)
-    circ.add("REFLECT", tuple(r0_qubits), pattern=pattern,
+    circ.add("REFLECT", tuple(r0_qubits),
+             pattern=_pattern(r0_qubits, {ctrl, one}),
              width=2 * b + 3 + (1 if ctrl is not None else 0))
     reapply = list(a_unctrl)
     reapply[-1] = (Gate(kind="CRY", qubits=(ctrl, rot), angle=theta,
@@ -569,7 +564,7 @@ def _emit_ps3(circ: Circuit, out, n: int, eps: float, *,
     circ.extend(reapply)
 
     # flag overall success
-    flag = take(1, f"{tag}flag")[0]
+    flag = _take_junk(circ, junk, 1, f"{tag}flag")[0]
     ctl_list = tuple(nprime) + (succ, rot)
     for q in nprime:
         circ.add("X", (q,))

@@ -3,22 +3,28 @@ import math
 import numpy as np
 import pytest
 
-from schwinger_be.circuit import (C_ROT, Circuit, CostModel, Gate,
-                                  ResourceReport, count_resources, dumps,
-                                  loads)
+from schwinger_be.circuit import (C_ROT, Circuit, Gate, count_resources,
+                                  dumps, gate_cost, loads)
 from schwinger_be.simulate import (check_basis_permutation,
                                    simulate_statevector)
 
 
 def test_rotation_cost_example():
     # single rotation at eps = 2^-10: 4*10 + C ~ 50.09, ceils to 51
-    cm = CostModel(ceil_per_rotation=True)
     circ = Circuit()
     circ.add_register("q", 1)
     circ.add("RY", (0,), angle=0.3, eps=2 ** -10)
-    rep = count_resources(circ, cm)
+    rep = count_resources(circ)
     assert rep.t_real == pytest.approx(40 + C_ROT)
     assert rep.t_count == 51
+
+
+def test_rotation_log_is_ceiled():
+    # eps = 1e-2: log2(100) = 6.64 is charged as 7; no eps means 1e-10
+    assert gate_cost(Gate("RZ", (0,), eps=1e-2)) == pytest.approx(28 + C_ROT)
+    assert gate_cost(Gate("CRY", (0, 1), eps=1e-2)) == pytest.approx(
+        2 * (28 + C_ROT))
+    assert gate_cost(Gate("RY", (0,))) == pytest.approx(4 * 34 + C_ROT)
 
 
 def test_clifford_only_costs_nothing():
@@ -68,23 +74,23 @@ def test_t_count_additivity():
 
 
 def test_reflection_costs_clamp():
-    cm = CostModel()
-    assert cm.gate_cost(Gate("REFLECT", (0, 1, 2, 3))) == 8
-    assert cm.gate_cost(Gate("REFLECT", (0, 1))) == 0
+    assert gate_cost(Gate("REFLECT", (0, 1, 2, 3))) == 8
+    assert gate_cost(Gate("REFLECT", (0, 1))) == 0
 
 
 def test_simulation_count_separation():
     # changing the rotation budget changes the report, never the state
-    circ = Circuit()
-    circ.add_register("q", 2)
-    circ.add("RY", (0,), angle=0.7)
-    circ.add("CRZ", (0, 1), angle=0.3)
-    s1 = simulate_statevector(circ)
-    r1 = count_resources(circ, CostModel(rotation_epsilon=1e-2))
-    r2 = count_resources(circ, CostModel(rotation_epsilon=1e-8))
-    s2 = simulate_statevector(circ)
+    def build(eps):
+        circ = Circuit()
+        circ.add_register("q", 2)
+        circ.add("RY", (0,), angle=0.7, eps=eps)
+        circ.add("CRZ", (0, 1), angle=0.3, eps=eps)
+        return circ
+
+    c1, c2 = build(1e-2), build(1e-8)
+    r1, r2 = count_resources(c1), count_resources(c2)
     assert r2.t_real > r1.t_real
-    assert np.array_equal(s1, s2)
+    assert np.array_equal(simulate_statevector(c1), simulate_statevector(c2))
 
 
 def test_ancilla_peak_not_sum():
@@ -200,9 +206,48 @@ def test_serialization_roundtrip():
     assert np.allclose(simulate_statevector(circ), simulate_statevector(back))
 
 
+def test_serialization_roundtrip_every_field():
+    circ = Circuit()
+    circ.add_register("q", 4)
+    circ.add("PHASE0", (0, 1, 2), angle=-0.5, eps=1e-3, width=5,
+             splits=(1, 2), const=-3, pattern=0b101, n_terms=7, cost_t=2.5,
+             inverse=True, charged=False, ctrl_rot=True, anc_reusable=2,
+             anc_unreusable=1, label="node")
+    circ.add("H", (3,))
+    text = dumps(circ)
+    assert text.splitlines()[2] == (
+        "gate PHASE0 0,1,2 angle=-0.5 eps=0.001 width=5 splits=1,2 const=-3 "
+        "pattern=5 n_terms=7 cost_t=2.5 inverse uncharged ctrl_rot "
+        "anc_reusable=2 anc_unreusable=1 label=node")
+    assert loads(text).gates == circ.gates
+
+
 def test_loads_rejects_garbage():
     with pytest.raises(ValueError):
         loads("not a circuit\n")
+
+
+@pytest.mark.parametrize("line", [
+    "register",                  # no name
+    "register q",                # no qubits
+    "register q 0 reusable x",   # extra field
+    "register q 0 spare",        # unknown ancilla kind
+    "gate",                      # no kind
+    "gate H",                    # no qubits
+    "gate H 0 bogus=1",          # unknown key
+    "gate H 0 width",            # valued key written as a flag
+    "gate H 0 inverse=1",        # flag written with a value
+    "gate H 0 width=x",          # unparsable value
+])
+def test_loads_rejects_malformed_lines(line):
+    with pytest.raises(ValueError):
+        loads(f"# schwinger_be circuit v1\nregister r 0\n{line}\n")
+
+
+def test_loads_rejects_repeated_register():
+    text = "# schwinger_be circuit v1\nregister q 0,1\nregister q 2\n"
+    with pytest.raises(ValueError, match="repeated"):
+        loads(text)
 
 
 def test_permutation_checker_rejects_superposition():

@@ -5,6 +5,7 @@ import pytest
 
 from schwinger_be import estimator as est
 from schwinger_be import subroutines as sub
+from schwinger_be.circuit import count_resources
 from schwinger_be.model import benchmark_params
 from schwinger_be.simulate import (check_basis_permutation, project_success,
                                    register_overlap, register_weights,
@@ -497,3 +498,41 @@ def test_branch_weights_sum_to_alpha():
         p = benchmark_params(n)
         wts = sub.branch_weights(p)
         assert sum(wts.values()) == pytest.approx(normalization(p).alpha_s)
+
+
+# -- builder reports -----------------------------------------------------------------
+
+# every builder returns the public tally of its own circuit, so the report a
+# builder prints and count_resources of a loaded or rebuilt circuit agree
+REPORT_CASES = {
+    "uni": lambda: sub.uni(6, 1e-2, short_circuit=False),
+    "uni_ctrl": lambda: sub.uni(12, 1e-3, True, short_circuit=False),
+    "p_s1": lambda: sub.p_s1(12, 1e-3, short_circuit=False),
+    "p_s1_ctrl": lambda: sub.p_s1(12, 1e-3, True, short_circuit=False),
+    "p_s2": lambda: sub.p_s2(12, 1e-3, short_circuit=False),
+    "p_s2_ctrl": lambda: sub.p_s2(12, 1e-3, True, short_circuit=False),
+    "p_s3": lambda: sub.p_s3(8, 1e-3),
+    "p_s3_ctrl": lambda: sub.p_s3(12, 1e-3, True, short_circuit=False),
+    "p2": lambda: sub.p2(8, 1e-4, 1e-2),
+    "p2_ctrl": lambda: sub.p2(12, 1e-3, 1e-3, True),
+    "p1": lambda: sub.p1(benchmark_params(8), 1e-3),
+    "p1_general": lambda: sub.p1(benchmark_params(12), 1e-3,
+                                 short_circuit=False),
+    "select_xx": lambda: sub.select("xx", 8, 3),
+    "select_yy": lambda: sub.select("yy", 8, 3),
+    "select_z": lambda: sub.select("z", 8, 2),
+    "select_z2_3": lambda: sub.select("z2", 8, 3),
+    "select_z2_4": lambda: sub.select("z2", 8, 4),
+    "arith_ineq": lambda: sub.arithmetic("ineq", 5),
+    "arith_sub": lambda: sub.arithmetic("sub", 5),
+    "arith_una": lambda: sub.arithmetic("una", 5),
+    "arith_cswap": lambda: sub.arithmetic("cswap", 5),
+    "arith_ccswap": lambda: sub.arithmetic("cswap", 5, True),
+    "arith_reflection": lambda: sub.arithmetic("reflection", 5),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_CASES))
+def test_builder_report_is_public_tally(case):
+    circ, rep = REPORT_CASES[case]()
+    assert count_resources(circ) == rep
