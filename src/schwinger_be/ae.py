@@ -70,6 +70,8 @@ def _clopper_pearson(ones: int, n: int, alpha: float) -> tuple[float, float]:
 
 
 _HALF_PI = math.pi / 2
+SHOTS_PER_ROUND = 8  # measurements at one depth before the interval update
+MAX_ROUNDS = 10_000  # rounds after which a run stops and reports its interval
 
 
 def _quadrant(x: float) -> int:
@@ -90,9 +92,8 @@ def _find_next_k(k: int, lo: float, hi: float) -> int:
     return k
 
 
-def simulate_adaptive_ae(omega: float, eps: float, delta: float, seed: int,
-                         shots_per_round: int = 8,
-                         max_rounds: int = 10_000) -> AERunStats:
+def simulate_adaptive_ae(omega: float, eps: float, delta: float,
+                         seed: int) -> AERunStats:
     """Estimate ``omega`` to within eps with confidence 1-delta.
 
     Grid studies use omega in [0.05, 0.95] (matching the published violin
@@ -114,16 +115,16 @@ def simulate_adaptive_ae(omega: float, eps: float, delta: float, seed: int,
     ones = shots = 0
     q = 0  # per-reflection tally
     n_rounds = n_shots = 0
-    while (math.sin(hi) - math.sin(lo)) / 2 > eps and n_rounds < max_rounds:
+    while (math.sin(hi) - math.sin(lo)) / 2 > eps and n_rounds < MAX_ROUNDS:
         k_new = _find_next_k(k, lo, hi)
         if k_new > k:
             k, ones, shots = k_new, 0, 0
         big = 2 * k + 1
         p = math.sin(big * theta) ** 2
-        ones += int(rng.binomial(shots_per_round, p))
-        shots += shots_per_round
-        n_shots += shots_per_round
-        q += shots_per_round * (k + 1)
+        ones += int(rng.binomial(SHOTS_PER_ROUND, p))
+        shots += SHOTS_PER_ROUND
+        n_shots += SHOTS_PER_ROUND
+        q += SHOTS_PER_ROUND * (k + 1)
         n_rounds += 1
         p_lo, p_hi = _clopper_pearson(ones, shots, alpha)
         quad = _quadrant(big * lo)

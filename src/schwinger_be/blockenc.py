@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
@@ -23,8 +23,8 @@ from .circuit import Circuit, ResourceReport, count_resources
 from .estimator import (block_encoding_ancillas, block_encoding_cost, clog2,
                         p1_ancillas, p1_cost, p2_ancillas, p2_cost,
                         select_cost, reflection_cost)
-from .model import (DenseOperator, ModelParams, _add_string,
-                    build_hamiltonian, to_dense, normalization)
+from .model import (DenseOperator, ModelParams, build_hamiltonian, to_dense,
+                    normalization)
 from .simulate import _place, simulate_statevector
 from .subroutines import _emit_uni, invert_gates
 
@@ -170,6 +170,13 @@ def h_mod_dense(params: ModelParams) -> np.ndarray:
     return to_dense(build_hamiltonian(params)).matrix
 
 
+def _hopping_mass_dense(params: ModelParams) -> np.ndarray:
+    """The XX, YY and single-Z groups of the encoded operator, the branches
+    that every encoding here reproduces exactly."""
+    terms = build_hamiltonian(params)
+    return to_dense(replace(terms, z_even=(), z_odd=(), z_squared=())).matrix
+
+
 def semantic_block(params: ModelParams,
                    budget: ErrorBudget | None = None) -> np.ndarray:
     """alpha_S <0|U|0> composed by LCU algebra.
@@ -181,13 +188,8 @@ def semantic_block(params: ModelParams,
     budget = budget or ErrorBudget.exact()
     n = params.n_sites
     dim = 1 << n
-    terms = build_hamiltonian(params)
     delta = budget.delta
-
-    out = np.zeros((dim, dim), dtype=complex)
-    for group in (terms.xx, terms.yy, terms.z):
-        for ps in group:
-            _add_string(out, n, ps)
+    out = _hopping_mass_dense(params)
 
     # diagonal cumulative-Z machinery
     idx = np.arange(dim)
@@ -312,9 +314,5 @@ def fragment_error(params: ModelParams) -> float:
     rows = [_place(nq, sys_qubits, v) for v in range(1 << n)]
     block = np.stack([simulate_statevector(circ, col)[rows] for col in rows],
                      axis=1)
-    terms = build_hamiltonian(params)
-    target = np.zeros_like(block)
-    for group in (terms.xx, terms.yy, terms.z):
-        for ps in group:
-            _add_string(target, n, ps)
-    return float(np.linalg.norm(target - alpha * block, 2))
+    return float(np.linalg.norm(_hopping_mass_dense(params) - alpha * block,
+                                 2))

@@ -21,12 +21,13 @@ as golden files::
     gate <KIND> <q0,q1,...> [key=value | flag ...]
 
 An empty qubit list is written ``-``.  Boolean flags serialize as the bare
-words ``inverse``, ``uncharged`` and ``ctrl_rot``.
+words ``inverse``, ``uncharged`` and ``ctrl_rot``.  A gate label is written
+as is, so :meth:`Circuit.append` rejects one that contains whitespace.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 C_ROT = 5 + 4 * math.log2(1 + math.sqrt(2))
 ROTATION_EPSILON = 1e-10  # synthesis error of a rotation that carries no eps
@@ -61,16 +62,6 @@ class Gate:
     anc_reusable: int = 0       # transient scratch inside composite gates
     anc_unreusable: int = 0
     label: str = ""
-
-    def inverted(self) -> "Gate":
-        """Tag an arithmetic gate as a free uncomputation instance."""
-        if self.kind not in ARITH:
-            raise ValueError(f"free inversion only applies to arithmetic, "
-                             f"not {self.kind}")
-        g = replace(self, inverse=True)
-        if self.kind == "ADDC":
-            g = replace(g, const=-self.const)
-        return g
 
 
 def _rotation_cost(eps: float | None) -> float:
@@ -128,15 +119,6 @@ class ResourceReport:
     ancilla_reusable: int
     ancilla_unreusable: int
     total_qubits: int
-
-    def __add__(self, other: "ResourceReport") -> "ResourceReport":
-        return ResourceReport(
-            t_count=self.t_count + other.t_count,
-            t_real=self.t_real + other.t_real,
-            ancilla_reusable=max(self.ancilla_reusable, other.ancilla_reusable),
-            ancilla_unreusable=self.ancilla_unreusable + other.ancilla_unreusable,
-            total_qubits=max(self.total_qubits, other.total_qubits),
-        )
 
 
 @dataclass
@@ -230,6 +212,8 @@ class Circuit:
             raise ValueError(f"unknown gate kind {gate.kind}")
         if not math.isfinite(gate.angle):
             raise ValueError("gate angle must be finite")
+        if any(ch.isspace() for ch in gate.label):
+            raise ValueError(f"gate label {gate.label!r} contains whitespace")
         self.gates.append(gate)
         self._events.append(("gate", str(len(self.gates) - 1)))
 

@@ -100,33 +100,25 @@ def _verify_arithmetic(bits: int) -> list[str]:
 
 
 def _verify_subroutines() -> list[str]:
+    """Each preparation's success-projected output profile against its
+    target, given as unnormalized weights of the output value ``v``."""
+    cases = [(f"uni({n})", subroutines.uni(n, 1e-3)[0],
+              lambda v, n=n: 1.0 * (v < n), 1e-10) for n in (3, 5, 6)]
+    cases += [
+        ("p_s1(8)", subroutines.p_s1(8, 1e-3)[0],
+         lambda v: v * (v % 2 == 0), 1e-10),
+        ("p_s2(8)", subroutines.p_s2(8, 1e-3)[0],
+         lambda v: v * (v % 2 == 1), 1e-10),
+        ("p_s3(8)", subroutines.p_s3(8, 1e-6)[0], lambda v: v ** 2, 1e-8),
+    ]
     failures = []
-    for n in (3, 5, 6):
-        circ, _ = subroutines.uni(n, 1e-3)
+    for label, circ, weight, tol in cases:
         psi = project_success(simulate_statevector(circ), circ)
-        w = register_weights(psi, circ, "idx")
-        target = np.zeros_like(w)
-        target[:n] = 1.0 / n
-        if np.max(np.abs(w / w.sum() - target)) > 1e-10:
-            failures.append(f"uni({n}) profile off")
-    for name, builder, support in (("p_s1", subroutines.p_s1, range(2, 8, 2)),
-                                   ("p_s2", subroutines.p_s2, range(1, 8, 2))):
-        circ, _ = builder(8, 1e-3)
-        psi = project_success(simulate_statevector(circ), circ)
-        w = register_weights(psi, circ, "out")
-        target = np.zeros_like(w)
-        for nn in support:
-            target[nn] = nn
+        w = register_weights(psi, circ, circ.metadata["output"])
+        target = weight(np.arange(w.size, dtype=float))
         target /= target.sum()
-        if np.max(np.abs(w / w.sum() - target)) > 1e-10:
-            failures.append(f"{name}(8) profile off")
-    circ, _ = subroutines.p_s3(8, 1e-6)
-    psi = project_success(simulate_statevector(circ), circ)
-    w = register_weights(psi, circ, "out")
-    target = np.arange(8.0) ** 2
-    target /= target.sum()
-    if np.max(np.abs(w / w.sum() - target)) > 1e-8:
-        failures.append("p_s3(8) profile off")
+        if np.max(np.abs(w / w.sum() - target)) > tol:
+            failures.append(f"{label} profile off")
     return failures
 
 

@@ -198,11 +198,11 @@ def _add_string(h: np.ndarray, n: int, ps: PauliString) -> None:
     h[img, idx] += ps.coefficient * phase
 
 
-def to_dense(terms: HamiltonianTerms, include_shift: bool = False,
-             limit: int = DENSE_LIMIT) -> DenseOperator:
+def to_dense(terms: HamiltonianTerms,
+             include_shift: bool = False) -> DenseOperator:
     n = terms.n_sites
-    if n > limit:
-        raise ValueError(f"{n} sites exceeds the dense limit {limit}")
+    if n > DENSE_LIMIT:
+        raise ValueError(f"{n} sites exceeds the dense limit {DENSE_LIMIT}")
     h = np.zeros((1 << n, 1 << n), dtype=complex)
     for ps in terms.all_strings:
         _add_string(h, n, ps)
@@ -212,22 +212,20 @@ def to_dense(terms: HamiltonianTerms, include_shift: bool = False,
 
 
 @lru_cache(maxsize=32)
-def _eig(params: ModelParams, limit: int):
-    h = to_dense(build_hamiltonian(params), include_shift=True,
-                 limit=limit).matrix
+def _eig(params: ModelParams):
+    h = to_dense(build_hamiltonian(params), include_shift=True).matrix
     vals, vecs = np.linalg.eigh(h)
     return vals, vecs
 
 
-def exact_evolution(params: ModelParams, t: float,
-                    limit: int = DENSE_LIMIT) -> DenseOperator:
+def exact_evolution(params: ModelParams, t: float) -> DenseOperator:
     """exp(-i H t) by eigendecomposition; exactly unitary up to roundoff."""
-    if params.n_sites > limit:
+    if params.n_sites > DENSE_LIMIT:
         raise ValueError(f"{params.n_sites} sites exceeds the dense limit")
     if t == 0:
         return DenseOperator(params.n_sites,
                              np.eye(1 << params.n_sites, dtype=complex))
-    vals, vecs = _eig(params, limit)
+    vals, vecs = _eig(params)
     u = (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
     return DenseOperator(params.n_sites, u)
 
@@ -240,16 +238,14 @@ def vacuum_index(n_sites: int) -> int:
     return out
 
 
-def vacuum_persistence(params: ModelParams, t: float,
-                       limit: int = DENSE_LIMIT) -> complex:
-    u = exact_evolution(params, t, limit).matrix
+def vacuum_persistence(params: ModelParams, t: float) -> complex:
+    u = exact_evolution(params, t).matrix
     v = vacuum_index(params.n_sites)
     return complex(u[v, v])
 
 
 def particle_density(params: ModelParams, t: float,
-                     method: str = "state",
-                     limit: int = DENSE_LIMIT) -> float:
+                     method: str = "state") -> float:
     """Pair-production density nu(t) relative to the Neel vacuum.
 
     ``method="state"`` evolves the vacuum and takes expectations;
@@ -257,7 +253,7 @@ def particle_density(params: ModelParams, t: float,
     Both must agree to roundoff.
     """
     n = params.n_sites
-    u = exact_evolution(params, t, limit).matrix
+    u = exact_evolution(params, t).matrix
     v = vacuum_index(n)
     total = 0.0
     if method == "state":

@@ -104,17 +104,6 @@ def _una(a: np.ndarray) -> np.ndarray:
     return (1 << bl) - 1
 
 
-def _split_groups(g: Gate):
-    qs = g.qubits
-    groups = []
-    pos = 0
-    for s in g.splits:
-        groups.append(qs[pos:pos + s])
-        pos += s
-    groups.append(qs[pos:])
-    return groups
-
-
 def gate_index_map(g: Gate, n: int, idx: np.ndarray) -> np.ndarray | None:
     """Image of basis indices under a permutation gate; None if not one."""
     k = g.kind
@@ -296,24 +285,30 @@ def circuit_index_map(circuit: Circuit, idx: np.ndarray) -> np.ndarray:
     return cur
 
 
-def check_basis_permutation(circuit: Circuit, reference, *,
-                            exhaustive_limit: int = 17,
-                            samples: int = 4096,
-                            seed: int = 7,
-                            max_failures: int = 10) -> PermutationVerdict:
+#: qubit counts up to which every basis state is checked; above it, a fixed
+#: seeded sample of PERMUTATION_SAMPLES states
+EXHAUSTIVE_LIMIT = 17
+PERMUTATION_SAMPLES = 4096
+PERMUTATION_SEED = 7
+MAX_FAILURES = 10  # failures after which a check stops
+
+
+def check_basis_permutation(circuit: Circuit,
+                            reference) -> PermutationVerdict:
     """Confirm the circuit equals ``reference`` on computational basis states.
 
     ``reference`` maps a dict of register values to a dict of expected
     register values (registers it omits must be unchanged is not enforced;
-    only returned registers are compared).  Exhaustive below
-    ``exhaustive_limit`` qubits, sampled above.
+    only returned registers are compared).  Exhaustive up to
+    ``EXHAUSTIVE_LIMIT`` qubits, sampled above.
     """
     n = circuit.n_qubits
-    if n <= exhaustive_limit:
+    if n <= EXHAUSTIVE_LIMIT:
         idx = np.arange(1 << n, dtype=np.int64)
     else:
-        rng = np.random.default_rng(seed)
-        idx = rng.integers(0, 1 << n, size=samples, dtype=np.int64)
+        rng = np.random.default_rng(PERMUTATION_SEED)
+        idx = rng.integers(0, 1 << n, size=PERMUTATION_SAMPLES,
+                           dtype=np.int64)
     out = circuit_index_map(circuit, idx)
     regs = {name: r.qubits for name, r in circuit.registers.items()}
     invals = {name: reg_values(idx, n, qs) for name, qs in regs.items()}
@@ -326,7 +321,7 @@ def check_basis_permutation(circuit: Circuit, reference, *,
             got = int(outvals[name][i])
             if got != want:
                 failures.append((vin, name, want, got))
-                if len(failures) >= max_failures:
+                if len(failures) >= MAX_FAILURES:
                     return PermutationVerdict(False, idx.shape[0], failures)
     return PermutationVerdict(not failures, idx.shape[0], failures)
 

@@ -18,6 +18,16 @@ Shared conventions:
 * Junk registers are never uncomputed; they are allocated unreusable.
 * Arithmetic scratch is carried as per-gate ``anc_reusable`` annotations
   (comparator s-1, subtractor s-1, unary mask 2s, doubly-controlled swap 1).
+* A controlled builder emits each gate through ``_control``, which puts the
+  control first among the gate's qubits and looks the new kind up in one
+  table: X, CNOT, H, RY, RZ and MCX become CNOT, TOFFOLI, CH, CRY, CRZ and
+  MCX.  A REFLECT stays a REFLECT whose pattern gains the control as its
+  top bit and whose cost width grows by one; with the control off it is
+  -1, and the builders emit such reflections in pairs, so a controlled
+  builder is the identity there.  ``strip_control`` reads the same table
+  backwards.  The controlled CZ (a REFLECT on three qubits), the
+  doubly-controlled swap with its uncompute, and ``p2``'s controlled phase
+  are written out where they are emitted.
 """
 from __future__ import annotations
 
@@ -118,9 +128,37 @@ def invert_gates(gates: list[Gate]) -> list[Gate]:
     return out
 
 
-def strip_control(gates: list[Gate], ctrl: int,
+#: kind of a gate after ``_control`` prepends one more control
+_CONTROLLED = {"X": "CNOT", "CNOT": "TOFFOLI", "H": "CH", "RY": "CRY",
+               "RZ": "CRZ", "MCX": "MCX", "REFLECT": "REFLECT"}
+#: the inverse; a PHASE0 loses its control like a REFLECT (``p2`` emits the
+#: controlled phase itself, as it needs ``ctrl_rot``)
+_UNCONTROLLED = {v: k for k, v in _CONTROLLED.items()} | {"PHASE0": "PHASE0"}
+#: kinds whose control is the top bit of their pattern
+_PATTERNED = ("REFLECT", "PHASE0")
+#: an uncontrolled MCX takes the name of its arity
+_X_BY_ARITY = {1: "X", 2: "CNOT", 3: "TOFFOLI"}
+
+
+def _control(g: Gate, ctrl: int | None) -> Gate:
+    """``g`` with ``ctrl`` prepended as one more control; ``g`` itself when
+    ``ctrl`` is None."""
+    if ctrl is None:
+        return g
+    if g.kind not in _CONTROLLED:
+        raise ValueError(f"no controlled form of {g.kind}")
+    out = replace(g, kind=_CONTROLLED[g.kind], qubits=(ctrl,) + g.qubits)
+    if g.kind in _PATTERNED:
+        w = len(g.qubits)
+        out = replace(out, pattern=max(g.pattern, 0) | 1 << w,
+                      width=(g.width or w) + 1)
+    return out
+
+
+def strip_control(gates: list[Gate], ctrl: int | None,
                   drop_targets: set[int] | None = None) -> list[Gate]:
-    """Action of a controlled gate list when the control fires.
+    """Action of a controlled gate list when the control fires: the inverse
+    of ``_control`` on every gate that carries ``ctrl``.
 
     Gates targeting ``drop_targets`` (exported flag qubits) are removed;
     they stay in deterministic product states and play no role in the
@@ -134,35 +172,18 @@ def strip_control(gates: list[Gate], ctrl: int,
         if ctrl not in g.qubits:
             out.append(g)
             continue
-        rest = tuple(q for q in g.qubits if q != ctrl)
-        if g.kind == "CH":
-            out.append(Gate(kind="H", qubits=rest))
-        elif g.kind == "CRY":
-            out.append(Gate(kind="RY", qubits=rest, angle=g.angle,
-                            eps=g.eps, charged=g.charged))
-        elif g.kind == "CRZ":
-            out.append(Gate(kind="RZ", qubits=rest, angle=g.angle,
-                            eps=g.eps, charged=g.charged))
-        elif g.kind == "CNOT":
-            out.append(Gate(kind="X", qubits=rest))
-        elif g.kind == "TOFFOLI":
-            out.append(Gate(kind="CNOT", qubits=rest, charged=g.charged))
-        elif g.kind == "MCX":
-            kind = "CNOT" if len(rest) == 2 else (
-                "TOFFOLI" if len(rest) == 3 else "MCX")
-            out.append(Gate(kind=kind, qubits=rest, charged=g.charged))
-        elif g.kind in ("REFLECT", "PHASE0"):
-            k = g.qubits.index(ctrl)
-            w = len(g.qubits)
-            bits = [(g.pattern >> (w - 1 - i)) & 1
-                    for i in range(w) if i != k]
-            pat = 0
-            for bit in bits:
-                pat = (pat << 1) | bit
-            out.append(replace(g, qubits=rest, pattern=pat,
-                               width=max((g.width or w) - 1, 0)))
-        else:
+        if g.qubits[0] != ctrl or g.kind not in _UNCONTROLLED:
             raise ValueError(f"cannot strip control from {g.kind}")
+        rest = g.qubits[1:]
+        kind = _UNCONTROLLED[g.kind]
+        if kind == "MCX":
+            kind = _X_BY_ARITY.get(len(rest), "MCX")
+        g2 = replace(g, kind=kind, qubits=rest)
+        if kind in _PATTERNED:
+            w = len(g.qubits)
+            g2 = replace(g2, pattern=max(g.pattern, 0) & ~(1 << (w - 1)),
+                         width=max((g.width or w) - 1, 0))
+        out.append(g2)
     return out
 
 
@@ -196,22 +217,16 @@ def _una(circ: Circuit, a, z, inverse: bool = False) -> None:
              anc_reusable=2 * s)
 
 
-def _copy(circ: Circuit, src, dst, ctrl: int | None = None) -> None:
+def _copy(circ: Circuit, src, dst) -> None:
     for s, d in zip(src, dst):
-        if ctrl is None:
-            circ.add("CNOT", (s, d))
-        else:
-            circ.add("TOFFOLI", (ctrl, s, d))
+        circ.add("CNOT", (s, d))
 
 
 def _load_const(circ: Circuit, reg, value: int, ctrl: int | None = None) -> None:
     w = len(reg)
     for k, q in enumerate(reg):
         if (value >> (w - 1 - k)) & 1:
-            if ctrl is None:
-                circ.add("X", (q,))
-            else:
-                circ.add("CNOT", (ctrl, q))
+            circ.append(_control(Gate("X", (q,)), ctrl))
 
 
 # -- uniform superposition -------------------------------------------------------
@@ -254,21 +269,18 @@ def _emit_uni(circ: Circuit, reg, m: int, eps: float, *,
     h = UniHandles(reg=tuple(reg))
     if ft.r == 1 and short_circuit:
         for q in reg:
-            circ.add("H", (q,)) if ctrl is None else circ.add("CH", (ctrl, q))
+            circ.append(_control(Gate("H", (q,)), ctrl))
         h.gates = circ.gates[g0:]
         return h
     top = reg[:l]
-    if junk is None:
-        flag = circ.alloc_ancilla(_name(circ, f"{tag}flag"), 1, reusable=False)[0]
-    else:
-        flag = junk.take(1)[0]
+    flag = _take_junk(circ, junk, 1, f"{tag}flag")[0]
     cmp_name = _name(circ, f"{tag}cmp")
     cmp = circ.alloc_ancilla(cmp_name, l)
     uc = circ.alloc_ancilla(_name(circ, f"{tag}uc"), 1)[0]
     theta = 2 * math.asin(0.5 * math.sqrt((1 << l) / ft.r))
 
     for q in reg:
-        circ.add("H", (q,)) if ctrl is None else circ.add("CH", (ctrl, q))
+        circ.append(_control(Gate("H", (q,)), ctrl))
     circ.add("RY", (flag,), angle=theta, eps=eps / 2)
     _load_const(circ, cmp, ft.r - 1, ctrl=ctrl)
     # reflect about the target {i <= r-1 and flag}
@@ -282,18 +294,12 @@ def _emit_uni(circ: Circuit, reg, m: int, eps: float, *,
     circ.add("RY", (flag,), angle=-theta, eps=eps / 2)
     for q in top:
         circ.add("H", (q,))
-    if ctrl is None:
-        circ.add("REFLECT", tuple(top) + (flag,))
-    else:
-        circ.add("REFLECT", (ctrl,) + tuple(top) + (flag,),
-                 pattern=1 << (l + 1), width=l + 2)
+    circ.append(_control(Gate("REFLECT", tuple(top) + (flag,)), ctrl))
     for q in top:
         circ.add("H", (q,))
     # completion rotation (measurement-folded in the source accounting)
-    if ctrl is None:
-        circ.add("RY", (flag,), angle=theta, eps=eps / 2, charged=False)
-    else:
-        circ.add("CRY", (ctrl, flag), angle=theta, eps=eps / 2, charged=False)
+    circ.append(_control(Gate("RY", (flag,), angle=theta, eps=eps / 2,
+                              charged=False), ctrl))
     # flag success
     _ineq(circ, top, cmp, uc, l)
     h.uc, h.flag = uc, flag
@@ -379,16 +385,18 @@ def arithmetic(kind: str, s: int, controlled: bool = False
 # -- sqrt-weight index preparations P_S1 / P_S2 -----------------------------------
 
 
-def _emit_ps_even_odd(circ: Circuit, out, m_half: int, eps: float, *,
+def _emit_ps_even_odd(circ: Circuit, out, n: int, eps: float, *,
                       odd: bool, ctrl: int | None, short_circuit: bool,
                       junk: JunkPool | None = None) -> list:
-    """Shared core of the even/odd sqrt-weight preparations.
+    """Shared core of the even/odd sqrt-weight preparations over 1..n-1
+    (n even).
 
     ``out`` holds the full index; its top bits carry the halved index i and
     the last bit the parity.  Junk: second uniform register, complement
     register, doubled-index register, and (uncontrolled only) the branch
     bit plus the combined success flag.
     """
+    m_half = n // 2
     bh = clog2(m_half)
     m_second = m_half if odd else m_half - 1
     bj = clog2(m_second)
@@ -407,10 +415,7 @@ def _emit_ps_even_odd(circ: Circuit, out, m_half: int, eps: float, *,
         conditions = [("bit", both, 1),
                       ("bit", u1.flag, 1), ("bit", u2.flag, 1)]
     if odd:
-        if ctrl is None:
-            circ.add("X", (parity,))
-        else:
-            circ.add("CNOT", (ctrl, parity))
+        circ.append(_control(Gate("X", (parity,)), ctrl))
 
     # complement register alt := m_half - 1 - i
     alt_shift = m_half - (1 << bh)
@@ -423,10 +428,7 @@ def _emit_ps_even_odd(circ: Circuit, out, m_half: int, eps: float, *,
     keep = _take_junk(circ, junk, bh + 1, "pskeep")
     _copy(circ, top, keep[:bh])
     if odd:
-        if ctrl is None:
-            circ.add("X", (keep[-1],))
-        else:
-            circ.add("CNOT", (ctrl, keep[-1]))
+        circ.append(_control(Gate("X", (keep[-1],)), ctrl))
     # branch on keep <= j and swap in the complement there
     if ctrl is None:
         c = _take_junk(circ, junk, 1, "psc")[0]
@@ -449,39 +451,32 @@ def _emit_ps_even_odd(circ: Circuit, out, m_half: int, eps: float, *,
     return conditions
 
 
-def _ps_guard(n: int, eps: float) -> None:
+def _p_s(n: int, eps: float, controlled: bool, short_circuit: bool, *,
+         odd: bool) -> tuple[Circuit, ResourceReport]:
     if n % 2 != 0 or n < 4:
         raise ValueError("N must be even and >= 4")
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0,1)")
+    circ = Circuit()
+    ctrl = circ.add_register("ctrl", 1)[0] if controlled else None
+    out = circ.add_register("out", clog2(n))
+    circ.metadata["success"] = _emit_ps_even_odd(
+        circ, out, n, eps, odd=odd, ctrl=ctrl,
+        short_circuit=short_circuit)
+    circ.metadata["output"] = "out"
+    return _report(circ)
 
 
 def p_s1(n: int, eps: float, controlled: bool = False,
          short_circuit: bool = True) -> tuple[Circuit, ResourceReport]:
     """sqrt(n)-weighted superposition over even n in 1..N-1, junk attached."""
-    _ps_guard(n, eps)
-    circ = Circuit()
-    ctrl = circ.add_register("ctrl", 1)[0] if controlled else None
-    out = circ.add_register("out", clog2(n))
-    conds = _emit_ps_even_odd(circ, out, -(-n // 2), eps, odd=False,
-                              ctrl=ctrl, short_circuit=short_circuit)
-    circ.metadata["success"] = conds
-    circ.metadata["output"] = "out"
-    return _report(circ)
+    return _p_s(n, eps, controlled, short_circuit, odd=False)
 
 
 def p_s2(n: int, eps: float, controlled: bool = False,
          short_circuit: bool = True) -> tuple[Circuit, ResourceReport]:
     """sqrt(n)-weighted superposition over odd n in 1..N-1, junk attached."""
-    _ps_guard(n, eps)
-    circ = Circuit()
-    ctrl = circ.add_register("ctrl", 1)[0] if controlled else None
-    out = circ.add_register("out", clog2(n))
-    conds = _emit_ps_even_odd(circ, out, n // 2, eps, odd=True,
-                              ctrl=ctrl, short_circuit=short_circuit)
-    circ.metadata["success"] = conds
-    circ.metadata["output"] = "out"
-    return _report(circ)
+    return _p_s(n, eps, controlled, short_circuit, odd=True)
 
 
 # -- linear-weight preparation P_S3 -----------------------------------------------
@@ -513,10 +508,7 @@ def _emit_ps3(circ: Circuit, out, n: int, eps: float, *,
     if factor_two(n).r == 1 and short_circuit:
         one_name = _name(circ, f"{tag}one")
         one = circ.alloc_ancilla(one_name, 1)[0]
-        if ctrl is None:
-            circ.add("X", (one,))
-        else:
-            circ.add("CNOT", (ctrl, one))
+        circ.append(_control(Gate("X", (one,)), ctrl))
     rot = _take_junk(circ, junk, 1, f"{tag}rot")[0]
 
     # A: comparison ladder (P_S3') then the half-amplitude rotation
@@ -535,32 +527,24 @@ def _emit_ps3(circ: Circuit, out, n: int, eps: float, *,
     circ.add("RY", (rot,), angle=theta, eps=eps / 20)
     a_gates = list(circ.gates[g0:])
     drop = {u1.usucc} if u1.usucc is not None else set()
-    a_unctrl = (strip_control(a_gates, ctrl, drop) if ctrl is not None
-                else a_gates)
+    a_unctrl = strip_control(a_gates, ctrl, drop)
 
     # R_T: reflect about the flagged target subspace (pattern: second
     # register restored to zero, comparison and combined flags set, rotated
     # qubit set; entangled inversion leftovers pinned to zero)
-    t_qubits = list(nprime) + [c, succ, rot] + list(u2.internal)
-    if ctrl is not None:
-        t_qubits = [ctrl] + t_qubits
-    circ.add("REFLECT", tuple(t_qubits),
-             pattern=_pattern(t_qubits, {ctrl, c, succ, rot}),
-             width=b + 3 + (1 if ctrl is not None else 0))
+    t_qubits = tuple(nprime) + (c, succ, rot) + tuple(u2.internal)
+    circ.append(_control(Gate("REFLECT", t_qubits, width=b + 3,
+                              pattern=_pattern(t_qubits, {c, succ, rot})),
+                         ctrl))
 
     # R_psi = A R0 A^dag about the pre-A state (support zeros, helper ones)
     circ.extend(invert_gates(a_unctrl))
-    r0_qubits = sorted(_support(a_unctrl))
-    if ctrl is not None:
-        r0_qubits = [ctrl] + r0_qubits
-    circ.add("REFLECT", tuple(r0_qubits),
-             pattern=_pattern(r0_qubits, {ctrl, one}),
-             width=2 * b + 3 + (1 if ctrl is not None else 0))
+    r0_qubits = tuple(sorted(_support(a_unctrl)))
+    circ.append(_control(Gate("REFLECT", r0_qubits, width=2 * b + 3,
+                              pattern=_pattern(r0_qubits, {one})), ctrl))
     reapply = list(a_unctrl)
-    reapply[-1] = (Gate(kind="CRY", qubits=(ctrl, rot), angle=theta,
-                        eps=eps / 20, charged=False) if ctrl is not None
-                   else Gate(kind="RY", qubits=(rot,), angle=theta,
-                             eps=eps / 20, charged=False))
+    reapply[-1] = _control(Gate("RY", (rot,), angle=theta, eps=eps / 20,
+                                charged=False), ctrl)
     circ.extend(reapply)
 
     # flag overall success
@@ -568,10 +552,7 @@ def _emit_ps3(circ: Circuit, out, n: int, eps: float, *,
     ctl_list = tuple(nprime) + (succ, rot)
     for q in nprime:
         circ.add("X", (q,))
-    if ctrl is not None:
-        circ.add("MCX", (ctrl,) + ctl_list + (flag,))
-    else:
-        circ.add("MCX", ctl_list + (flag,))
+    circ.append(_control(Gate("MCX", ctl_list + (flag,)), ctrl))
     for q in nprime:
         circ.add("X", (q,))
     # the kept comparison constants and the helper can retire now
@@ -579,10 +560,7 @@ def _emit_ps3(circ: Circuit, out, n: int, eps: float, *,
         if h.cmp_name is not None:
             circ.release(h.cmp_name)
     if one_name is not None:
-        if ctrl is None:
-            circ.add("X", (one,))
-        else:
-            circ.add("CNOT", (ctrl, one))
+        circ.append(_control(Gate("X", (one,)), ctrl))
         circ.release(one_name)
     return [("bit", flag, 1)]
 
@@ -668,10 +646,8 @@ def p2(n: int, eps: float, delta: float, controlled: bool = False
     succ = circ.add_register("p2succ", 1)[0]
 
     def rz(angle):
-        if controlled:
-            circ.add("CRZ", (ctrl, t), angle=angle, eps=eps_rot)
-        else:
-            circ.add("RZ", (t,), angle=angle, eps=eps_rot)
+        circ.append(_control(Gate("RZ", (t,), angle=angle, eps=eps_rot),
+                             ctrl))
 
     def ch_layer():
         for zq, oq in zip(z, out):
@@ -862,10 +838,10 @@ def p1(params: ModelParams, eps: float, short_circuit: bool = True
         circ, out, n, 2 * e, ctrl=d, short_circuit=short_circuit,
         tag="p1u2", junk=pool))
     with_decoder((q2, q3), 3, lambda d: _emit_ps_even_odd(
-        circ, out, -(-n // 2), 4 * e, odd=False, ctrl=d,
+        circ, out, n, 4 * e, odd=False, ctrl=d,
         short_circuit=short_circuit, junk=pool))
     with_decoder((q2,), 3, lambda d: _emit_ps_even_odd(
-        circ, out, n // 2, 4 * e, odd=True, ctrl=d,
+        circ, out, n, 4 * e, odd=True, ctrl=d,
         short_circuit=short_circuit, junk=pool))
     with_decoder((q3,), 3, lambda d: _emit_ps3(
         circ, out, n, 20 * e, ctrl=d, short_circuit=short_circuit,

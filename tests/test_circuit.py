@@ -250,6 +250,18 @@ def test_loads_rejects_repeated_register():
         loads(text)
 
 
+@pytest.mark.parametrize("label", ["P1 dag", "a\tb", "node\n"])
+def test_append_rejects_whitespace_label(label):
+    # dumps writes a label as is, so loads could not read this one back
+    circ = Circuit()
+    circ.add_register("q", 1)
+    with pytest.raises(ValueError, match="whitespace"):
+        circ.add("H", (0,), label=label)
+    assert not circ.gates
+    circ.add("H", (0,), label="P1.dag")
+    assert loads(dumps(circ)).gates == circ.gates
+
+
 def test_permutation_checker_rejects_superposition():
     circ = Circuit()
     circ.add_register("q", 2)

@@ -1,13 +1,17 @@
 """Golden-file checks of the circuit text format: builders must reproduce
 the stored files byte for byte, and a loaded file must count and simulate
-identically to a freshly built circuit."""
+identically to a freshly built circuit, and a digest of every builder's
+text pins the gate lists of the circuits that have no golden file."""
+import hashlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from schwinger_be import blockenc
 from schwinger_be import subroutines as sub
 from schwinger_be.circuit import dumps, loads, count_resources
+from schwinger_be.model import benchmark_params
 from schwinger_be.simulate import simulate_statevector
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -32,3 +36,49 @@ def test_golden_loads_and_counts(name):
         count_resources(built).t_real)
     assert np.allclose(simulate_statevector(circ),
                        simulate_statevector(built))
+
+
+def _digest_grid():
+    """(name, circuit, report) over every builder: controlled and not, both
+    ``short_circuit`` modes where they apply, the arithmetic kinds, the
+    SELECTs, the gate-level fragment and the assembled encoding."""
+    for n in (3, 4, 6):
+        for c in (False, True):
+            for sc in (False, True):
+                yield f"uni({n},{c},{sc})", sub.uni(n, 1e-3, c, sc)
+    for name, builder, sizes in (("p_s1", sub.p_s1, (8, 12)),
+                                 ("p_s2", sub.p_s2, (8, 12)),
+                                 ("p_s3", sub.p_s3, (8, 12))):
+        for n in sizes:
+            for c in (False, True):
+                for sc in (False, True):
+                    yield f"{name}({n},{c},{sc})", builder(n, 1e-3, c, sc)
+    for n in (8, 12):
+        for c in (False, True):
+            yield f"p2({n},{c})", sub.p2(n, 1e-4, 1e-2, c)
+        for sc in (False, True):
+            yield f"p1({n},{sc})", sub.p1(benchmark_params(n), 1e-3, sc)
+    for kind in ("ineq", "sub", "cswap", "una", "reflection"):
+        yield f"arithmetic({kind})", sub.arithmetic(kind, 4)
+    yield "arithmetic(cswap,True)", sub.arithmetic("cswap", 4, True)
+    for kind, controls in (("xx", 3), ("yy", 3), ("z", 2), ("z2", 3),
+                           ("z2", 4)):
+        yield f"select({kind},{controls})", sub.select(kind, 8, controls)
+    for n in (4, 6):
+        yield f"fragment({n})", (
+            blockenc.fragment_circuit(benchmark_params(n))[0], None)
+    circ, _, rep = blockenc.assemble(benchmark_params(8), 1e-2)
+    yield "assemble(8)", (circ, rep)
+
+
+#: sha256 of the grid's text; a change to any builder's gates or counts
+#: changes it
+BUILDER_DIGEST = (
+    "546db8f3878a9e515488b94739b968b4193215a1d75568f8ce01027fc79268e7")
+
+
+def test_builder_dumps_digest():
+    h = hashlib.sha256()
+    for name, (circ, rep) in _digest_grid():
+        h.update(f"== {name}\n{dumps(circ)}{rep!r}\n".encode())
+    assert h.hexdigest() == BUILDER_DIGEST

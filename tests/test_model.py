@@ -137,7 +137,7 @@ def test_alpha_cubic_growth():
 
 def test_dense_limit_guard():
     with pytest.raises(ValueError):
-        M.to_dense(M.build_hamiltonian(M.benchmark_params(8)), limit=6)
+        M.to_dense(M.build_hamiltonian(M.benchmark_params(16)))
 
 
 def test_evolution_properties():

@@ -13,9 +13,10 @@ import pytest
 from schwinger_be import backend, simulate
 from schwinger_be.circuit import Circuit, Gate
 from schwinger_be.simulate import (_MAT_1Q, _bit, _mask, _place, _ry, _rz,
-                                   gate_index_map, project_success,
-                                   register_overlap, register_weights,
-                                   simulate_statevector)
+                                   check_basis_permutation, gate_index_map,
+                                   project_success, register_overlap,
+                                   register_weights, simulate_statevector)
+from schwinger_be.subroutines import arithmetic
 
 # -- reference evaluator -------------------------------------------------------
 
@@ -283,3 +284,17 @@ def test_register_helpers_match_brute_force(support):
     want[((idx >> (n - 1 - 6)) & 1) != 0] = 0
     got = project_success(state, circ, conds)
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_permutation_check_samples_above_exhaustive_limit():
+    circ, _ = arithmetic("ineq", 9)
+    assert circ.n_qubits == 19 > simulate.EXHAUSTIVE_LIMIT
+    verdict = check_basis_permutation(
+        circ, lambda v: {"out": v["out"] ^ (v["a"] <= v["b"])})
+    assert verdict.ok and not verdict.failures
+    assert verdict.checked == simulate.PERMUTATION_SAMPLES == 4096
+    # a reference that misses the comparison fails on about half the
+    # samples; the check stops at the tenth
+    wrong = check_basis_permutation(circ, lambda v: {"out": v["out"]})
+    assert not wrong.ok
+    assert len(wrong.failures) == simulate.MAX_FAILURES == 10

@@ -5,7 +5,7 @@ import pytest
 
 from schwinger_be import estimator as est
 from schwinger_be import subroutines as sub
-from schwinger_be.circuit import count_resources
+from schwinger_be.circuit import Circuit, Gate, count_resources, gate_cost
 from schwinger_be.model import benchmark_params
 from schwinger_be.simulate import (check_basis_permutation, project_success,
                                    register_overlap, register_weights,
@@ -139,7 +139,7 @@ def test_cswap(s, controlled, cost):
         return ({"a": v["b"], "b": v["a"]} if fire
                 else {"a": v["a"], "b": v["b"]})
 
-    assert check_basis_permutation(circ, ref, samples=512).ok
+    assert check_basis_permutation(circ, ref).ok
 
 
 def test_reflection_boundary():
@@ -156,6 +156,56 @@ def test_arithmetic_rejects():
         sub.arithmetic("ineq", 0)
     with pytest.raises(ValueError):
         sub.arithmetic("ineq", 4, controlled=True)
+
+
+# -- the control table ------------------------------------------------------------
+
+#: one gate of every kind that ``_control`` accepts, on qubits 1.. of a
+#: five-qubit register whose qubit 0 is the control
+CONTROL_CASES = [
+    Gate("X", (1,)), Gate("CNOT", (1, 2)), Gate("H", (2,)),
+    Gate("RY", (1,), angle=0.7, eps=1e-3, charged=False),
+    Gate("RZ", (2,), angle=-0.4, eps=1e-5),
+    Gate("MCX", (1, 2, 3)), Gate("MCX", (1, 2, 3, 4)),
+    Gate("REFLECT", (1, 2, 3)),
+    Gate("REFLECT", (1, 2, 3, 4), pattern=0b1010, width=6),
+]
+
+
+def _act(gate, state):
+    circ = Circuit()
+    circ.add_register("q", 5)
+    circ.append(gate)
+    return simulate_statevector(circ, state)
+
+
+@pytest.mark.parametrize("gate", CONTROL_CASES,
+                         ids=lambda g: f"{g.kind}{len(g.qubits)}")
+def test_control_and_strip_roundtrip(gate):
+    assert sub._control(gate, None) is gate
+    cg = sub._control(gate, 0)
+    assert cg.qubits == (0,) + gate.qubits
+    (back,) = sub.strip_control([cg], 0)
+    # an MCX on three qubits comes back named by its arity
+    three = gate.kind == "MCX" and len(gate.qubits) == 3
+    assert back.kind == ("TOFFOLI" if three else gate.kind)
+    assert max(back.pattern, 0) == max(gate.pattern, 0)
+    assert gate_cost(back) == gate_cost(gate)
+    rng = np.random.default_rng(len(gate.qubits))
+    psi = rng.normal(size=32) + 1j * rng.normal(size=32)
+    assert np.allclose(_act(back, psi), _act(gate, psi), atol=1e-12)
+    # with the control set, the controlled gate acts as ``gate`` does
+    on = np.zeros(32, dtype=complex)
+    on[16:] = psi[16:]
+    assert np.allclose(_act(cg, on), _act(gate, on), atol=1e-12)
+
+
+def test_control_rejects_unknown_kinds():
+    with pytest.raises(ValueError):
+        sub._control(Gate("CSWAP", (1, 2, 3), width=1), 0)
+    # the control must be the first qubit of the gate it is stripped from
+    with pytest.raises(ValueError):
+        sub.strip_control([Gate("CNOT", (1, 0))], 0)
 
 
 # -- sqrt-weight preparations ---------------------------------------------------
