@@ -20,9 +20,8 @@ from dataclasses import dataclass, asdict, replace
 import numpy as np
 
 from .circuit import Circuit, ResourceReport, count_resources
-from .estimator import (block_encoding_ancillas, block_encoding_cost, clog2,
-                        p1_ancillas, p1_cost, p2_ancillas, p2_cost,
-                        select_cost, reflection_cost)
+from .estimator import (block_encoding_cost, clog2, p1_ancillas, p1_cost,
+                        p2_ancillas, p2_cost, select_cost, reflection_cost)
 from .model import (DenseOperator, ModelParams, build_hamiltonian, to_dense,
                     normalization)
 from .simulate import _place, simulate_statevector
@@ -66,11 +65,13 @@ def assemble(params: ModelParams, eps: float
              ) -> tuple[Circuit, BlockEncodingSpec, ResourceReport]:
     """Wire the encoding: coefficient preparation, four controlled prefix
     maps, the five controlled SELECTs, and the mid-circuit reflection that
-    squares the prefix-sum block.  Nodes carry their closed-form costs."""
+    squares the prefix-sum block.  Nodes carry their closed-form costs; the
+    report is ``block_encoding_cost``'s with the T count of the nodes."""
+    formula = block_encoding_cost(params, eps)
     n = params.n_sites
     b = clog2(n)
     alpha = normalization(params).alpha_s
-    e1 = eps / (14 * alpha) if eps > 0 else 1e-18
+    e1 = eps / (14 * alpha)
 
     circ = Circuit()
     label = circ.add_register("label", 3)
@@ -107,12 +108,8 @@ def assemble(params: ModelParams, eps: float
     node("P1.dag", p1c, label + out + (succ1[0],), anc_r=p1_r)
 
     spec = BlockEncodingSpec(alpha=alpha, ancilla_width=2 * b + 3, epsilon=eps)
-    rep = count_resources(circ)
-    anc = block_encoding_ancillas(n)
-    rep = ResourceReport(t_count=rep.t_count, t_real=rep.t_real,
-                         ancilla_reusable=anc - (p1_u + 2),
-                         ancilla_unreusable=p1_u + 2,
-                         total_qubits=n + 2 * b + 3 + anc)
+    tally = count_resources(circ)
+    rep = replace(formula, t_count=tally.t_count, t_real=tally.t_real)
     circ.metadata["spec"] = spec
     circ.metadata["budget"] = ErrorBudget.default(eps, alpha)
     return circ, spec, rep
@@ -229,13 +226,20 @@ SEMANTIC_LIMIT = 10
 
 def verify(params: ModelParams, eps: float,
            mode: str = "semantic") -> VerificationRecord:
-    """Measure || H_mod - alpha_S <0|U|0> || and compare to the target."""
+    """Measure || H_mod - alpha_S <0|U|0> || and compare to the target.
+
+    The full-statevector mode measures only the hopping+mass fragment; the
+    T counts are the full encoding's.  Raises ValueError for eps < 0 or for
+    N past the mode's limit."""
+    if eps < 0:
+        raise ValueError("eps must be nonnegative")
     n = params.n_sites
     alpha = normalization(params).alpha_s
     if n >= 8:
-        _, _, rep = assemble(params, eps)
-        tally = rep.t_real
-        formula = block_encoding_cost(params, eps if eps > 0 else 1e-18).t_real
+        # eps = 0 (exact) is costed at a vanishing positive target
+        eps_cost = eps if eps > 0 else 1e-18
+        tally = assemble(params, eps_cost)[2].t_real
+        formula = block_encoding_cost(params, eps_cost).t_real
     else:
         tally = formula = 0.0  # fragment sizes below the encoding's domain
     if mode == "semantic":

@@ -20,6 +20,11 @@ power of two below that, where the sparse form (24 bytes an entry) still
 uses 3 bytes per amplitude against 16.  Permutations and phases cost about
 10 ns per entry or amplitude in either form and do not move the switch.
 
+Gates are simulated by family: a controlled kind is its base gate on the
+last qubit (or the last two registers, of width ``g.width or 1``) where all
+the leading qubits are 1.  So X/CNOT/TOFFOLI/MCX share one index map, the
+swaps another, and H..RZ/CH/CRY/CRZ one call of the one-qubit kernel.
+
 Qubit 0 is the most significant bit of the basis index, so a register's
 value reads its qubits left to right.
 """
@@ -57,6 +62,11 @@ def _ry(theta: float) -> np.ndarray:
 def _rz(theta: float) -> np.ndarray:
     return np.array([[np.exp(-1j * theta / 2), 0],
                      [0, np.exp(1j * theta / 2)]], dtype=complex)
+
+
+_ROTATION = {"RY": _ry, "RZ": _rz}
+#: the base kind of each controlled one-qubit kind
+_CONTROLLED_1Q = {"CH": "H", "CRY": "RY", "CRZ": "RZ"}
 
 
 def _bit(n: int, q: int) -> int:
@@ -104,43 +114,29 @@ def _una(a: np.ndarray) -> np.ndarray:
     return (1 << bl) - 1
 
 
+def _all_set(idx, n: int, qubits):
+    """1 where all of ``qubits`` are set in ``idx``, else 0."""
+    fire = 1
+    for q in qubits:
+        fire = fire & (idx >> (n - 1 - q))
+    return fire & 1
+
+
 def gate_index_map(g: Gate, n: int, idx: np.ndarray) -> np.ndarray | None:
     """Image of basis indices under a permutation gate; None if not one."""
     k = g.kind
-    if k == "X":
-        return idx ^ _bit(n, g.qubits[0])
-    if k == "CNOT":
-        c, t = g.qubits
-        fire = (idx >> (n - 1 - c)) & 1
-        return idx ^ (fire << (n - 1 - t))
-    if k == "TOFFOLI":
-        c1, c2, t = g.qubits
-        fire = ((idx >> (n - 1 - c1)) & 1) & ((idx >> (n - 1 - c2)) & 1)
-        return idx ^ (fire << (n - 1 - t))
-    if k == "MCX":
-        ctrls, t = g.qubits[:-1], g.qubits[-1]
-        fire = np.ones_like(idx)
-        for c in ctrls:
-            fire &= (idx >> (n - 1 - c)) & 1
-        return idx ^ (fire << (n - 1 - t))
-    if k == "SWAP":
-        a, b = g.qubits
-        va = (idx >> (n - 1 - a)) & 1
-        vb = (idx >> (n - 1 - b)) & 1
-        diff = va ^ vb
-        return idx ^ (diff << (n - 1 - a)) ^ (diff << (n - 1 - b))
-    if k in ("CSWAP", "CCSWAP"):
-        nc = 1 if k == "CSWAP" else 2
-        s = g.width
-        ctrls = g.qubits[:nc]
-        a, b = g.qubits[nc:nc + s], g.qubits[nc + s:nc + 2 * s]
-        fire = np.ones_like(idx)
-        for c in ctrls:
-            fire &= (idx >> (n - 1 - c)) & 1
-        va, vb = reg_values(idx, n, a), reg_values(idx, n, b)
-        na = np.where(fire == 1, vb, va)
-        nb = np.where(fire == 1, va, vb)
-        return _set_values(_set_values(idx, n, a, na), n, b, nb)
+    if k in ("X", "CNOT", "TOFFOLI", "MCX"):
+        fire = _all_set(idx, n, g.qubits[:-1])
+        return idx ^ (fire << (n - 1 - g.qubits[-1]))
+    if k in ("SWAP", "CSWAP", "CCSWAP"):
+        s = g.width or 1
+        nc = len(g.qubits) - 2 * s
+        fire = _all_set(idx, n, g.qubits[:nc])
+        out = idx
+        for a, b in zip(g.qubits[nc:nc + s], g.qubits[nc + s:]):
+            diff = fire & ((idx >> (n - 1 - a)) ^ (idx >> (n - 1 - b)))
+            out = out ^ (diff << (n - 1 - a)) ^ (diff << (n - 1 - b))
+        return out
     if k == "INEQ":
         sa, sb = g.splits
         a = g.qubits[:sa]
@@ -217,18 +213,13 @@ def _apply(state, g: Gate, n: int):
     if k == "CZ":
         mask = _mask(n, g.qubits)
         return backend.apply_phase_pattern(state, mask, mask, -1.0)
-    if k in ("RY", "RZ"):
-        mat = _ry(g.angle) if k == "RY" else _rz(g.angle)
-        return backend.apply_1q_ctrl(state, mat, _bit(n, g.qubits[0]))
-    if k in ("CRY", "CRZ", "CH"):
-        mat = (_MAT_1Q["H"] if k == "CH"
-               else _ry(g.angle) if k == "CRY" else _rz(g.angle))
-        c, t = g.qubits
-        return backend.apply_1q_ctrl(state, mat, _bit(n, t), _bit(n, c),
-                                     _bit(n, c))
-    if k in _MAT_1Q:
-        return backend.apply_1q_ctrl(state, _MAT_1Q[k], _bit(n, g.qubits[0]))
-    raise ValueError(f"cannot simulate gate kind {k}")  # pragma: no cover
+    # a one-qubit kind: its base matrix on the last qubit, where all the
+    # leading qubits (none for H .. RZ, one for CH, CRY, CRZ) are 1
+    base = _CONTROLLED_1Q.get(k, k)
+    mat = _ROTATION[base](g.angle) if base in _ROTATION else _MAT_1Q[base]
+    cmask = _mask(n, g.qubits[:-1])
+    return backend.apply_1q_ctrl(state, mat, _bit(n, g.qubits[-1]), cmask,
+                                 cmask)
 
 
 def simulate_statevector(circuit: Circuit, input_state=None,
@@ -333,19 +324,14 @@ def project_success(state: np.ndarray, circuit: Circuit,
                     conditions=None) -> np.ndarray:
     """Apply the circuit's success projection; returns an unnormalized state.
 
-    Conditions are ``("bit", qubit, value)`` or ``("ry", qubit, angle,
-    value)``; the latter rotates the qubit before projecting, which is how
-    deferred flag rotations are folded into measurement.
+    Conditions are ``("bit", qubit, value)``: the state keeps only the basis
+    states whose ``qubit`` reads ``value``.  ``conditions`` replaces the
+    circuit's ``metadata["success"]`` list when given.
     """
     n = circuit.n_qubits
     conds = circuit.metadata.get("success", []) if conditions is None else conditions
     out = backend.from_vector(state, state.size >> DENSE_SHIFT)
-    for cond in conds:
-        if cond[0] == "ry":
-            _, q, angle, val = cond
-            out = backend.apply_1q_ctrl(out, _ry(angle), _bit(n, q))
-        else:
-            _, q, val = cond
+    for _, q, val in conds:
         bit = _bit(n, q)
         # a zero phase removes the basis states whose qubit q is not val
         out = backend.apply_phase_pattern(out, bit, 0 if val else bit, 0.0)

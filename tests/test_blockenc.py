@@ -37,6 +37,20 @@ def test_assemble_tally_equals_closed_form(n, eps):
     assert rep.total_qubits == formula.total_qubits
 
 
+def test_assemble_checks_n_and_eps():
+    # the encoding, like its closed-form cost, needs even N >= 8 and eps > 0
+    for n in (4, 6):
+        with pytest.raises(ValueError):
+            be.assemble(benchmark_params(n), 1e-2)
+    with pytest.raises(ValueError):
+        be.assemble(benchmark_params(8), 0.0)
+
+
+def test_exact_verify_tally_matches_formula():
+    rec = be.verify(benchmark_params(8), 0.0)
+    assert rec.t_count_tally == pytest.approx(rec.t_count_formula, rel=1e-12)
+
+
 def test_chebyshev_square_trivial_cases():
     # H = Z: perfect encoding via one-qubit dilation, block is the identity
     z = np.diag([1.0, -1.0]).astype(complex)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -52,6 +53,18 @@ def test_verify_block_pass(capsys):
 def test_verify_rejects_odd_n(capsys):
     code, _, err = run(capsys, "verify", "--N", "9")
     assert code == 2
+
+
+# the gate-level fragment at N=10 has 29 qubits, past the simulator
+@pytest.mark.parametrize("argv,reason", [
+    (("--N", "10", "--mode", "full-statevector"), "simulation limit"),
+    (("--N", "12", "--mode", "full-statevector"), "simulation limit"),
+    (("--N", "12"), "N <= 10"),
+    (("--epsilon", "-1"), "nonnegative")])
+def test_verify_out_of_range_is_usage_error(capsys, argv, reason):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and reason in err
 
 
 def test_verify_arithmetic_suite(capsys):
@@ -135,3 +148,30 @@ def test_output_file(tmp_path, capsys):
                        "--output", str(path))
     assert code == 0 and out == ""
     assert path.read_text().startswith("# schema_version")
+
+
+#: sha256 of artifacts whose bytes do not depend on the BLAS build; verify
+#: in block mode and dynamics are left out, as their low digits can vary
+ARTIFACT_SHA256 = {
+    ("estimate",):
+        "66b706fa2aad88a3784f5a032f97fc81737cf1a13dd26b0edfc1a8c045af989f",
+    ("estimate", "--format", "json"):
+        "323e42c6bea8a139afc3b6a84d27c339a349c2ac749fb0d85b29af0e05fb5e48",
+    ("physical",):
+        "fc498e6949ee105b87901d0259d7d06997f86b5243afca381ead0b85fc9dc204",
+    ("verify", "--suite", "arithmetic"):
+        "8134c828e4502c05a6a693d33540bfbd13fed440d9f426d257f9946172e7ffcf",
+    ("verify", "--suite", "subroutines"):
+        "3346b72d92d7910afa4bc3cea4a263990433e6e8b0ed6e7473566cd3a62e8a08",
+    ("ae", "--hoeffding"):
+        "83c42f3be44f66c8061869882bf1cc93014e4137b9b43ce6da2e269e8927d8df",
+    ("ae", "--runs", "20", "--seed", "5"):
+        "45b7fb02f0a94856d612be3735ce14d753cfdfb038684cc2d07bd206ebdce59d",
+}
+
+
+def test_artifacts_byte_identical(capsys):
+    for argv, want in ARTIFACT_SHA256.items():
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == want, argv

@@ -67,7 +67,7 @@ def test_uni_ancilla_table():
 def test_uni_controlled_off_is_identity():
     circ, _ = sub.uni(6, 1e-2, controlled=True)
     psi = simulate_statevector(circ, 0)
-    assert abs(psi[0]) == pytest.approx(1.0, abs=1e-12)
+    assert psi[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_uni_rejects_bad_args():
@@ -251,11 +251,15 @@ def test_ps1_ps2_tallies(n, controlled):
             formula(n, 1e-3, controlled=controlled))
 
 
-@pytest.mark.parametrize("builder", [sub.p_s1, sub.p_s2])
-def test_ps_controlled_off_identity(builder):
-    circ, _ = builder(8, 1e-2, controlled=True)
+# P_S2(8) emits no controlled reflection; the general N=12 builds emit four
+@pytest.mark.parametrize("builder,n,short", [
+    (sub.p_s1, 8, True), (sub.p_s2, 8, True),
+    (sub.p_s1, 12, False), (sub.p_s2, 12, False)],
+    ids=["p_s1", "p_s2", "p_s1-12-general", "p_s2-12-general"])
+def test_ps_controlled_off_identity(builder, n, short):
+    circ, _ = builder(n, 1e-2, controlled=True, short_circuit=short)
     psi = simulate_statevector(circ, 0)
-    assert abs(psi[0]) == pytest.approx(1.0, abs=1e-12)
+    assert psi[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ps_rejects_odd_n():
@@ -320,7 +324,7 @@ def test_ps3_tally(n, controlled):
 def test_ps3_controlled_off_identity():
     circ, _ = sub.p_s3(8, 1e-4, controlled=True)
     psi = simulate_statevector(circ, 0)
-    assert abs(psi[0]) == pytest.approx(1.0, abs=1e-10)
+    assert psi[0] == pytest.approx(1.0, abs=1e-10)
 
 
 # -- prefix-uniform map -----------------------------------------------------------
@@ -407,7 +411,7 @@ def test_p2_controlled_off_identity():
     from schwinger_be.simulate import _place
     inp = _place(nq, circ.registers["idx"].qubits, 5)
     psi = simulate_statevector(circ, inp)
-    assert abs(psi[inp]) == pytest.approx(1.0, abs=1e-10)
+    assert psi[inp] == pytest.approx(1.0, abs=1e-10)
 
 
 # -- SELECT ------------------------------------------------------------------------
