@@ -24,7 +24,7 @@ from .estimator import (block_encoding_cost, clog2, p1_ancillas, p1_cost,
                         p2_ancillas, p2_cost, select_cost, reflection_cost)
 from .model import (DenseOperator, ModelParams, build_hamiltonian, to_dense,
                     normalization)
-from .simulate import _place, simulate_statevector
+from .simulate import SIMULATION_LIMIT, _place, simulate_statevector
 from .subroutines import _emit_uni, invert_gates
 
 
@@ -224,28 +224,25 @@ class VerificationRecord:
 SEMANTIC_LIMIT = 10
 
 
+class OutOfRangeError(ValueError):
+    """eps < 0, or N past the chosen verification mode's limit."""
+
+
 def verify(params: ModelParams, eps: float,
            mode: str = "semantic") -> VerificationRecord:
     """Measure || H_mod - alpha_S <0|U|0> || and compare to the target.
 
     The full-statevector mode measures only the hopping+mass fragment; the
-    T counts are the full encoding's.  Raises ValueError for eps < 0 or for
-    N past the mode's limit."""
+    T counts are the full encoding's.  Raises OutOfRangeError for eps < 0
+    or for N past the mode's limit, before any costing or simulation."""
     if eps < 0:
-        raise ValueError("eps must be nonnegative")
+        raise OutOfRangeError("eps must be nonnegative")
     n = params.n_sites
     alpha = normalization(params).alpha_s
-    if n >= 8:
-        # eps = 0 (exact) is costed at a vanishing positive target
-        eps_cost = eps if eps > 0 else 1e-18
-        tally = assemble(params, eps_cost)[2].t_real
-        formula = block_encoding_cost(params, eps_cost).t_real
-    else:
-        tally = formula = 0.0  # fragment sizes below the encoding's domain
     if mode == "semantic":
         if n > SEMANTIC_LIMIT:
-            raise ValueError(f"semantic verification limited to "
-                             f"N <= {SEMANTIC_LIMIT}")
+            raise OutOfRangeError(f"semantic verification limited to "
+                                  f"N <= {SEMANTIC_LIMIT}")
         budget = (ErrorBudget.default(eps, alpha) if eps > 0
                   else ErrorBudget.exact())
         block = semantic_block(params, budget)
@@ -255,6 +252,13 @@ def verify(params: ModelParams, eps: float,
         measured = fragment_error(params)
     else:
         raise ValueError("mode must be 'semantic' or 'full-statevector'")
+    if n >= 8:
+        # eps = 0 (exact) is costed at a vanishing positive target
+        eps_cost = eps if eps > 0 else 1e-18
+        tally = assemble(params, eps_cost)[2].t_real
+        formula = block_encoding_cost(params, eps_cost).t_real
+    else:
+        tally = formula = 0.0  # fragment sizes below the encoding's domain
     floor = 1e-10 * max(alpha, 1.0)
     return VerificationRecord(
         n_sites=n, epsilon=eps, mode=mode, measured_error=measured,
@@ -313,6 +317,9 @@ def fragment_error(params: ModelParams) -> float:
     circ, alpha = fragment_circuit(params)
     n = params.n_sites
     nq = circ.n_qubits
+    if nq > SIMULATION_LIMIT:  # refuse before building 2^N basis columns
+        raise OutOfRangeError(f"the fragment at N={n} has {nq} qubits, past "
+                              f"the simulation limit {SIMULATION_LIMIT}")
     # basis index of each system value with every other qubit at zero
     sys_qubits = circ.registers["system"].qubits
     rows = [_place(nq, sys_qubits, v) for v in range(1 << n)]

@@ -134,7 +134,7 @@ def cmd_verify(args) -> int:
         params = _params_or_exit(args.N)
         try:
             rec = blockenc.verify(params, args.epsilon, mode=args.mode)
-        except ValueError as exc:  # eps < 0, or N past the mode's limit
+        except blockenc.OutOfRangeError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         _emit(args, rec.to_json() + "\n")

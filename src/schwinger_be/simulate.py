@@ -118,8 +118,8 @@ def _all_set(idx, n: int, qubits):
     """1 where all of ``qubits`` are set in ``idx``, else 0."""
     fire = 1
     for q in qubits:
-        fire = fire & (idx >> (n - 1 - q))
-    return fire & 1
+        fire = (idx >> (n - 1 - q)) & fire  # fire is 0 or 1 throughout
+    return fire
 
 
 def gate_index_map(g: Gate, n: int, idx: np.ndarray) -> np.ndarray | None:

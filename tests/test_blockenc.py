@@ -148,6 +148,15 @@ def test_verify_semantic_limit():
         be.verify(benchmark_params(12), 1e-2)
 
 
+def test_fragment_past_simulator_refused_early():
+    # N=40 would need 2^40 basis columns; the qubit count is checked first
+    for n in (10, 40):
+        with pytest.raises(be.OutOfRangeError, match="simulation limit"):
+            be.fragment_error(benchmark_params(n))
+        with pytest.raises(be.OutOfRangeError):
+            be.verify(benchmark_params(n), 1e-2, mode="full-statevector")
+
+
 def test_fragment_matches_semantic():
     # gate-level statevector extraction of the hopping+mass encoding agrees
     # with the dense target at N=4, cross-checking the semantic evaluator

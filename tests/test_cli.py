@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from schwinger_be import blockenc
 from schwinger_be.cli import main
 
 
@@ -55,16 +56,28 @@ def test_verify_rejects_odd_n(capsys):
     assert code == 2
 
 
-# the gate-level fragment at N=10 has 29 qubits, past the simulator
+# the gate-level fragment at N=10 has 29 qubits, past the simulator; at
+# N=40 its 2^40 basis columns must be refused before any is built
 @pytest.mark.parametrize("argv,reason", [
     (("--N", "10", "--mode", "full-statevector"), "simulation limit"),
     (("--N", "12", "--mode", "full-statevector"), "simulation limit"),
+    (("--N", "40", "--mode", "full-statevector"), "simulation limit"),
     (("--N", "12"), "N <= 10"),
+    (("--N", "40"), "N <= 10"),
     (("--epsilon", "-1"), "nonnegative")])
 def test_verify_out_of_range_is_usage_error(capsys, argv, reason):
     code, out, err = run(capsys, "verify", *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and reason in err
+
+
+def test_verify_library_error_is_not_usage_error(capsys, monkeypatch):
+    # only out-of-range input is exit 2; a fault inside verify propagates
+    def broken(*args, **kwargs):
+        raise ValueError("library fault")
+    monkeypatch.setattr(blockenc, "semantic_block", broken)
+    with pytest.raises(ValueError, match="library fault"):
+        main(["verify", "--N", "8"])
 
 
 def test_verify_arithmetic_suite(capsys):
