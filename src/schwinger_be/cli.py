@@ -54,13 +54,6 @@ def _rows_to_text(rows: list[dict], columns: list[str], fmt: str) -> str:
     return buf.getvalue()
 
 
-def _params_or_exit(n: int) -> model.ModelParams:
-    try:
-        return model.benchmark_params(n)
-    except ValueError as exc:
-        raise SystemExit(2) from exc
-
-
 def cmd_estimate(args) -> int:
     n_values = list(estimator.TABLE3_N) if args.N is None else args.N
     wt_values = list(estimator.TABLE3_WT) if args.wt is None else args.wt
@@ -124,6 +117,10 @@ def _verify_subroutines() -> list[str]:
 
 def cmd_verify(args) -> int:
     if args.suite == "arithmetic":
+        # 31 bits make the widest block 63 qubits, the int64 index limit
+        if not 1 <= args.bits <= 31:
+            print("error: bits must be in 1..31", file=sys.stderr)
+            return 2
         failures = _verify_arithmetic(args.bits)
     elif args.suite == "subroutines":
         failures = _verify_subroutines()
@@ -131,7 +128,7 @@ def cmd_verify(args) -> int:
         if args.N % 2 != 0 or args.N < 8:
             print("error: N must be even and >= 8", file=sys.stderr)
             return 2
-        params = _params_or_exit(args.N)
+        params = model.benchmark_params(args.N)
         try:
             rec = blockenc.verify(params, args.epsilon, mode=args.mode)
         except blockenc.OutOfRangeError as exc:
@@ -146,11 +143,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_dynamics(args) -> int:
-    if args.N > model.DENSE_LIMIT:
-        print(f"error: N exceeds the dense limit {model.DENSE_LIMIT}",
-              file=sys.stderr)
+    if args.N % 2 != 0 or not 2 <= args.N <= model.DENSE_LIMIT:
+        print(f"error: N must be even and in 2..{model.DENSE_LIMIT}, the "
+              f"dense limit", file=sys.stderr)
         return 2
-    params = _params_or_exit(args.N)
+    if args.steps < 1 or not np.isfinite(args.t_max):
+        print("error: steps must be >= 1 and t-max finite", file=sys.stderr)
+        return 2
+    params = model.benchmark_params(args.N)
     ts = np.linspace(0.0, args.t_max, args.steps)
     rows = []
     for t in ts:
@@ -164,6 +164,9 @@ def cmd_dynamics(args) -> int:
 
 
 def cmd_ae(args) -> int:
+    if not (0 < args.epsilon < 1 and 0 < args.delta < 1):
+        print("error: epsilon and delta must lie in (0, 1)", file=sys.stderr)
+        return 2
     if args.hoeffding:
         _emit(args, json.dumps(
             {"schema_version": SCHEMA_VERSION,
@@ -176,6 +179,9 @@ def cmd_ae(args) -> int:
               if args.omega is None else args.omega)
     if not omegas or any(not 0 <= om <= 1 for om in omegas):
         print("error: omega values must be in [0,1]", file=sys.stderr)
+        return 2
+    if args.runs < 1:
+        print("error: runs must be >= 1", file=sys.stderr)
         return 2
     seed = args.seed if args.seed is not None else _default_seed()
     lines = []

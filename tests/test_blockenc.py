@@ -143,6 +143,27 @@ def test_verify_budget_soundness_grid():
             assert rec.measured_error <= bud.bound(alpha) <= eps + 1e-15
 
 
+#: the benchmark point, a massive point off theta = pi, and free hopping
+PARAM_POINTS = (dict(spacing=0.2, mass=0.1, coupling=1.0, theta=math.pi),
+                dict(spacing=0.2, mass=0.3, coupling=1.0, theta=1.1),
+                dict(spacing=0.2, mass=0.0, coupling=0.0, theta=0.0))
+
+
+@pytest.mark.parametrize("point", range(len(PARAM_POINTS)))
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+def test_verify_row_sum_equals_spectral_norm(n, point):
+    # semantic verify takes the row-sum norm; the difference is diagonal,
+    # so that equals the spectral norm bit for bit
+    p = ModelParams(n_sites=n, **PARAM_POINTS[point])
+    alpha = normalization(p).alpha_s
+    for eps in (0.0, 1e-3, 1e-2, 1e-1):
+        budget = (be.ErrorBudget.default(eps, alpha) if eps > 0
+                  else be.ErrorBudget.exact())
+        diff = be.h_mod_dense(p) - be.semantic_block(p, budget)
+        assert not np.any(diff - np.diag(np.diag(diff)))
+        assert be.verify(p, eps).measured_error == np.linalg.norm(diff, 2)
+
+
 def test_verify_semantic_limit():
     with pytest.raises(ValueError):
         be.verify(benchmark_params(12), 1e-2)

@@ -111,6 +111,16 @@ def test_dynamics_dense_limit(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("--N", "3"), ("--N", "0"), ("--N", "-2"), ("--N", "14"),
+    ("--steps", "-2"), ("--steps", "0"),
+    ("--t-max", "nan"), ("--t-max", "inf"), ("--t-max=-inf",)])
+def test_dynamics_usage_errors(capsys, argv):
+    code, out, err = run(capsys, "dynamics", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
 def test_ae_records_and_determinism(capsys):
     args = ("ae", "--omega", "0.5", "--runs", "5", "--seed", "7",
             "--epsilon", "0.02")
@@ -138,6 +148,25 @@ def test_ae_hoeffding_flag(capsys):
 def test_ae_rejects_bad_omega(capsys):
     code, _, _ = run(capsys, "ae", "--omega", "1.5", "--runs", "1")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("--runs", "0"), ("--runs", "-3"),
+    ("--epsilon", "0"), ("--epsilon", "2"), ("--epsilon", "nan"),
+    ("--delta", "1"), ("--delta", "0"),
+    ("--hoeffding", "--epsilon", "0"), ("--hoeffding", "--delta", "1")])
+def test_ae_usage_errors(capsys, argv):
+    code, out, err = run(capsys, "ae", "--omega", "0.5", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("bits", ["0", "-1", "32"])
+def test_verify_arithmetic_bits_usage_error(capsys, bits):
+    code, out, err = run(capsys, "verify", "--suite", "arithmetic",
+                         "--bits", bits)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "1..31" in err
 
 
 def test_physical_headline(capsys):

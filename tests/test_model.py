@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -136,8 +137,22 @@ def test_alpha_cubic_growth():
 
 
 def test_dense_limit_guard():
-    with pytest.raises(ValueError):
-        M.to_dense(M.build_hamiltonian(M.benchmark_params(16)))
+    for n in (14, 16):
+        with pytest.raises(ValueError):
+            M.to_dense(M.build_hamiltonian(M.benchmark_params(n)))
+
+
+def test_observables_refuse_past_dense_limit_before_allocating():
+    # at N=14 even the t = 0 basis vector would take 256 KiB
+    tracemalloc.start()
+    try:
+        for fn in (M.vacuum_persistence, M.particle_density):
+            with pytest.raises(ValueError, match="dense limit"):
+                fn(M.benchmark_params(14), 0.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def test_evolution_properties():
@@ -177,6 +192,20 @@ def test_g_conjugation_symmetry():
             np.conj(M.vacuum_persistence(p, t)), abs=1e-12)
 
 
+def heisenberg_density(p, t):
+    """nu(t) with each Z_n conjugated by the full unitary and read at the
+    vacuum, independent of the library's evolved-vacuum path."""
+    n = p.n_sites
+    u = M.exact_evolution(p, t).matrix
+    v = M.vacuum_index(n)
+    total = 0.0
+    for site in range(n):
+        zdiag = 1 - 2 * ((np.arange(1 << n) >> (n - 1 - site)) & 1)
+        zt = u.conj().T @ (zdiag[:, None] * u)
+        total += (-1) ** site * float(zt[v, v].real) + 1
+    return total / (2 * n)
+
+
 def test_particle_density():
     p = M.benchmark_params(4)
     assert M.particle_density(p, 0.0) == pytest.approx(0.0, abs=1e-12)
@@ -184,8 +213,21 @@ def test_particle_density():
         nu = M.particle_density(p, float(t))
         assert -1e-12 <= nu <= 1 + 1e-12
     for t in (0.4, 1.3):
-        a = M.particle_density(p, t, method="state")
-        b = M.particle_density(p, t, method="heisenberg")
-        assert a == pytest.approx(b, abs=1e-10)
-    with pytest.raises(ValueError):
-        M.particle_density(p, 0.1, method="bogus")
+        assert M.particle_density(p, t) == pytest.approx(
+            heisenberg_density(p, t), abs=1e-10)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+def test_observables_match_full_unitary_column(n):
+    p = M.benchmark_params(n)
+    v = M.vacuum_index(n)
+    idx = np.arange(1 << n)
+    stagger = np.array([(-1) ** s for s in range(n)])
+    z = 1 - 2 * ((idx[:, None] >> (n - 1 - np.arange(n))) & 1)
+    for t in (-1.3, 0.0, 0.4, 2.5):
+        psi = M.exact_evolution(p, t).matrix[:, v]
+        nu = float(np.sum(stagger * ((np.abs(psi) ** 2) @ z) + 1)) / (2 * n)
+        assert abs(M.vacuum_persistence(p, t) - psi[v]) < 1e-13
+        assert abs(M.particle_density(p, t) - nu) < 1e-13
+    assert M.vacuum_persistence(p, 0.0) == 1 + 0j
+    assert abs(M.particle_density(p, 0.0)) <= 1e-12
