@@ -17,29 +17,29 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import beta as _beta
+from scipy.special import betaincinv
 
-from .model import ModelParams, vacuum_persistence
+from .model import ModelParams, OutOfRangeError, vacuum_persistence
 
 
 def hoeffding_queries(eps: float, delta: float) -> int:
     """Depth-0 sampling count from Hoeffding's inequality."""
     if not 0 < eps < 1 or not 0 < delta < 1:
-        raise ValueError("eps and delta must be in (0,1)")
+        raise OutOfRangeError("eps and delta must be in (0,1)")
     return math.ceil(math.log(2 / delta) / (2 * eps * eps))
 
 
 def chebae_query_formula(eps: float) -> int:
     """Worst-case total query count of Chebyshev amplitude estimation."""
     if not 0 < eps < 1:
-        raise ValueError("eps must be in (0,1)")
+        raise OutOfRangeError("eps must be in (0,1)")
     return math.ceil(5.874534 / eps * math.log(2.08 * math.log(2 / eps)))
 
 
 def grover_outcome(omega: float, k: int, rng: np.random.Generator) -> int:
     """One measurement after k Grover iterations: Bernoulli(sin^2((2k+1)t))."""
     if not 0 <= omega <= 1:
-        raise ValueError("omega must be in [0,1]")
+        raise OutOfRangeError("omega must be in [0,1]")
     if k < 0:
         raise ValueError("depth must be nonnegative")
     p = math.sin((2 * k + 1) * math.asin(omega)) ** 2
@@ -63,9 +63,9 @@ class AERunStats:
 
 
 def _clopper_pearson(ones: int, n: int, alpha: float) -> tuple[float, float]:
-    lo = 0.0 if ones == 0 else float(_beta.ppf(alpha / 2, ones, n - ones + 1))
-    hi = 1.0 if ones == n else float(_beta.ppf(1 - alpha / 2, ones + 1,
-                                               n - ones))
+    lo = 0.0 if ones == 0 else float(betaincinv(ones, n - ones + 1, alpha / 2))
+    hi = 1.0 if ones == n else float(betaincinv(ones + 1, n - ones,
+                                                1 - alpha / 2))
     return lo, hi
 
 
@@ -102,9 +102,9 @@ def simulate_adaptive_ae(omega: float, eps: float, delta: float,
     delta/levels, and intervals across levels intersect.
     """
     if not 0 <= omega <= 1:
-        raise ValueError("omega must be in [0,1]")
+        raise OutOfRangeError("omega must be in [0,1]")
     if not 0 < eps < 1 or not 0 < delta < 1:
-        raise ValueError("eps and delta must be in (0,1)")
+        raise OutOfRangeError("eps and delta must be in (0,1)")
     rng = np.random.default_rng(seed)
     levels = max(8, math.ceil(math.log2(_HALF_PI / (2 * eps))) + 2)
     alpha = delta / levels

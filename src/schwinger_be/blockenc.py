@@ -22,8 +22,8 @@ import numpy as np
 from .circuit import Circuit, ResourceReport, count_resources
 from .estimator import (block_encoding_cost, clog2, p1_ancillas, p1_cost,
                         p2_ancillas, p2_cost, select_cost, reflection_cost)
-from .model import (DenseOperator, ModelParams, build_hamiltonian, to_dense,
-                    normalization, z_signs)
+from .model import (DenseOperator, ModelParams, OutOfRangeError,
+                    build_hamiltonian, to_dense, normalization, z_signs)
 from .simulate import SIMULATION_LIMIT, _place, simulate_statevector
 from .subroutines import _emit_uni, invert_gates
 
@@ -221,23 +221,22 @@ class VerificationRecord:
 SEMANTIC_LIMIT = 10
 
 
-class OutOfRangeError(ValueError):
-    """eps < 0, or N past the chosen verification mode's limit."""
-
-
 def verify(params: ModelParams, eps: float,
            mode: str = "semantic") -> VerificationRecord:
     """Measure || H_mod - alpha_S <0|U|0> || and compare to the target.
 
     The semantic mode takes the row-sum norm, which equals the spectral norm
     as the difference is diagonal.  The full-statevector mode measures only
-    the hopping+mass fragment; the T counts are the full encoding's.  Raises
-    OutOfRangeError for eps < 0 or for N past the mode's limit, before any
-    costing or simulation."""
-    if eps < 0:
-        raise OutOfRangeError("eps must be nonnegative")
+    the hopping+mass fragment; the T counts are the full encoding's.  eps
+    lies in [0, 14 alpha_S), where the budget's delta eps/(14 alpha_S) is
+    below 1.  OutOfRangeError refuses eps outside it and N past the mode's
+    limit before any work, and at the costing an eps too small to price
+    (under 6.8e-303 at N=8, where 14 alpha_S is 305.9)."""
     n = params.n_sites
     alpha = normalization(params).alpha_s
+    if not 0 <= eps < 14 * alpha:
+        raise OutOfRangeError(f"eps must be nonnegative and below "
+                              f"14 alpha_S = {14 * alpha:.6g}")
     if mode == "semantic":
         if n > SEMANTIC_LIMIT:
             raise OutOfRangeError(f"semantic verification limited to "
@@ -315,8 +314,10 @@ def fragment_circuit(params: ModelParams) -> tuple[Circuit, float]:
 
 def fragment_error(params: ModelParams) -> float:
     """|| (H_XX+H_YY+H_Z) - alpha <0|U|0> || for the gate-level fragment."""
-    circ, alpha = fragment_circuit(params)
     n = params.n_sites
+    if n < 4:  # UNI(N-1) must fill the clog2(N)-qubit out register
+        raise OutOfRangeError("the gate-level fragment needs N >= 4")
+    circ, alpha = fragment_circuit(params)
     nq = circ.n_qubits
     if nq > SIMULATION_LIMIT:  # refuse before building 2^N basis columns
         raise OutOfRangeError(f"the fragment at N={n} has {nq} qubits, past "

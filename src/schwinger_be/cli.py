@@ -1,9 +1,11 @@
 """Command-line interface: resource estimation, verification, dynamics,
 and amplitude-estimation simulation as batch commands.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/configuration error.
-All artifacts carry ``schema_version``; identical configuration and seed
-produce identical bytes.
+Exit codes: 0 success, 1 verification failure, 2 usage error, which is an
+``OutOfRangeError`` from the library or from a check here on a value the
+library never sees; any other exception is a fault and propagates.  All
+artifacts carry ``schema_version``; fixed configuration and seed reproduce
+identical bytes.
 """
 from __future__ import annotations
 
@@ -13,10 +15,12 @@ import io
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import ae, blockenc, estimator, model, subroutines
+from .model import OutOfRangeError
 from .simulate import (check_basis_permutation, project_success,
                        register_weights, simulate_statevector)
 
@@ -55,22 +59,11 @@ def _rows_to_text(rows: list[dict], columns: list[str], fmt: str) -> str:
 
 
 def cmd_estimate(args) -> int:
-    n_values = list(estimator.TABLE3_N) if args.N is None else args.N
-    wt_values = list(estimator.TABLE3_WT) if args.wt is None else args.wt
-    if not n_values or not wt_values or args.rate <= 0:
-        print("error: empty grid or nonpositive rate", file=sys.stderr)
-        return 2
-    try:
-        rows = estimator.table3(tuple(n_values), tuple(wt_values),
-                                rate=args.rate)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    out = [{"n_sites": r.n_sites, "wt": r.wt, "epsilon": r.epsilon,
-            "t_count": f"{r.t_count:.6e}",
-            "runtime_days": f"{r.runtime_days:.6e}",
-            "ancilla": r.ancilla, "logical_qubits": r.logical_qubits}
-           for r in rows]
+    n_values = estimator.TABLE3_N if args.N is None else tuple(args.N)
+    wt_values = estimator.TABLE3_WT if args.wt is None else tuple(args.wt)
+    rows = estimator.table3(n_values, wt_values, rate=args.rate)
+    out = [{**asdict(r), "t_count": f"{r.t_count:.6e}",
+            "runtime_days": f"{r.runtime_days:.6e}"} for r in rows]
     _emit(args, _rows_to_text(out, ESTIMATE_COLUMNS, args.format))
     return 0
 
@@ -119,21 +112,16 @@ def cmd_verify(args) -> int:
     if args.suite == "arithmetic":
         # 31 bits make the widest block 63 qubits, the int64 index limit
         if not 1 <= args.bits <= 31:
-            print("error: bits must be in 1..31", file=sys.stderr)
-            return 2
+            raise OutOfRangeError("bits must be in 1..31")
         failures = _verify_arithmetic(args.bits)
     elif args.suite == "subroutines":
         failures = _verify_subroutines()
     else:  # block
+        # the record prices the full encoding, defined for even N >= 8
         if args.N % 2 != 0 or args.N < 8:
-            print("error: N must be even and >= 8", file=sys.stderr)
-            return 2
-        params = model.benchmark_params(args.N)
-        try:
-            rec = blockenc.verify(params, args.epsilon, mode=args.mode)
-        except blockenc.OutOfRangeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            raise OutOfRangeError("N must be even and >= 8")
+        rec = blockenc.verify(model.benchmark_params(args.N), args.epsilon,
+                              mode=args.mode)
         _emit(args, rec.to_json() + "\n")
         return 0 if rec.passed else 1
     report = {"schema_version": SCHEMA_VERSION, "suite": args.suite,
@@ -143,17 +131,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_dynamics(args) -> int:
-    if args.N % 2 != 0 or not 2 <= args.N <= model.DENSE_LIMIT:
-        print(f"error: N must be even and in 2..{model.DENSE_LIMIT}, the "
-              f"dense limit", file=sys.stderr)
-        return 2
     if args.steps < 1 or not np.isfinite(args.t_max):
-        print("error: steps must be >= 1 and t-max finite", file=sys.stderr)
-        return 2
+        raise OutOfRangeError("steps must be >= 1 and t-max finite")
     params = model.benchmark_params(args.N)
-    ts = np.linspace(0.0, args.t_max, args.steps)
     rows = []
-    for t in ts:
+    for t in np.linspace(0.0, args.t_max, args.steps):
         g = model.vacuum_persistence(params, float(t))
         nu = model.particle_density(params, float(t))
         rows.append({"t": f"{t:.8f}", "re_g": f"{g.real:.12f}",
@@ -164,9 +146,6 @@ def cmd_dynamics(args) -> int:
 
 
 def cmd_ae(args) -> int:
-    if not (0 < args.epsilon < 1 and 0 < args.delta < 1):
-        print("error: epsilon and delta must lie in (0, 1)", file=sys.stderr)
-        return 2
     if args.hoeffding:
         _emit(args, json.dumps(
             {"schema_version": SCHEMA_VERSION,
@@ -177,12 +156,8 @@ def cmd_ae(args) -> int:
         return 0
     omegas = ([round(0.1 * i, 1) for i in range(1, 10)]
               if args.omega is None else args.omega)
-    if not omegas or any(not 0 <= om <= 1 for om in omegas):
-        print("error: omega values must be in [0,1]", file=sys.stderr)
-        return 2
-    if args.runs < 1:
-        print("error: runs must be >= 1", file=sys.stderr)
-        return 2
+    if not omegas or args.runs < 1:
+        raise OutOfRangeError("omega needs a value and runs must be >= 1")
     seed = args.seed if args.seed is not None else _default_seed()
     lines = []
     summary = {}
@@ -208,27 +183,18 @@ def cmd_ae(args) -> int:
 
 def cmd_physical(args) -> int:
     ps = [1e-3, 1e-4] if args.p_phys is None else args.p_phys
-    if not ps or any(not 0 < p < 0.01 for p in ps):
-        print("error: p_phys must lie in (0, 0.01)", file=sys.stderr)
-        return 2
+    if not ps:
+        raise OutOfRangeError("p-phys needs a value")
     n_values = [64] if args.N is None else args.N
     rows = []
-    try:
-        for n in n_values:
-            params = model.benchmark_params(n)
-            t = args.wt / params.w
-            rep = estimator.vpa_cost(params, t)
-            nl = estimator.logical_qubits(n)
-            for p in ps:
-                pe = estimator.physical_qubits(rep.t_real, nl, p)
-                rows.append({"n_sites": n, "wt": args.wt, "p_phys": p,
-                             "t_count": f"{rep.t_real:.6e}",
-                             "code_distance": pe.code_distance,
-                             "logical_qubits": pe.logical_qubits,
-                             "physical_qubits": pe.physical_qubits})
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    for n in n_values:
+        params = model.benchmark_params(n)
+        rep = estimator.vpa_cost(params, args.wt / params.w)
+        nl = estimator.logical_qubits(n)
+        for p in ps:
+            pe = estimator.physical_qubits(rep.t_real, nl, p)
+            rows.append({"n_sites": n, "wt": args.wt,
+                         "t_count": f"{rep.t_real:.6e}", **asdict(pe)})
     _emit(args, _rows_to_text(rows, PHYSICAL_COLUMNS, args.format))
     return 0
 
@@ -293,7 +259,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except OutOfRangeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -13,10 +13,12 @@ value.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .circuit import C_ROT, ResourceReport
-from .model import ModelParams, benchmark_params, normalization
+from .model import (ModelParams, OutOfRangeError, benchmark_params,
+                    normalization)
 
 DEFAULT_T_RATE = 1e6  # T gates per second for runtime conversion
 
@@ -197,7 +199,7 @@ def select_cost(kind: str, n: int, controls: int) -> float:
 
 def _check_system(n: int) -> None:
     if n < 8 or n % 2 != 0:
-        raise ValueError("block encoding requires even N >= 8")
+        raise OutOfRangeError("block encoding requires even N >= 8")
 
 
 def block_encoding_ancillas(n: int) -> int:
@@ -206,14 +208,24 @@ def block_encoding_ancillas(n: int) -> int:
             + max(2 * clog2(np_) + clog2(np_ - 1), 3 * clog2(npp)) + 6)
 
 
+def _priceable(eps: float, alpha: float) -> bool:
+    """Whether the closed forms price block error eps: e1 = eps/(14 alpha_S),
+    P2's amplification residual, lies in (0, 1), and e1/(2d), the encoding's
+    smallest rotation error, is a normal float, so clog2(1/error) is finite."""
+    e1 = eps / (14 * alpha)
+    tiny = e1 / (2 * amplification_rounds(e1)) if 0 < e1 < 1 else 0.0
+    return tiny >= sys.float_info.min
+
+
 def block_encoding_cost(params: ModelParams, eps: float) -> ResourceReport:
     """Full block-encoding cost: four controlled prefix preparations, two
     coefficient preparations, five controlled SELECTs, one reflection."""
     n = params.n_sites
     _check_system(n)
-    if not eps > 0:
-        raise ValueError("eps must be positive")
     alpha = normalization(params).alpha_s
+    if not _priceable(eps, alpha):
+        raise OutOfRangeError(f"eps = {eps:.6g} is outside (0, 14 alpha_S = "
+                              f"{14 * alpha:.6g}) or too small to price")
     b = clog2(n)
     e1 = eps / (14 * alpha)
     t = (4 * p2_cost(n, e1, e1, True)
@@ -243,17 +255,22 @@ def evolution_cost(params: ModelParams, t: float,
     n = params.n_sites
     _check_system(n)
     if not 0 < eps < 1:
-        raise ValueError("eps must be in (0,1)")
+        raise OutOfRangeError("eps must be in (0,1)")
     b = clog2(n)
     anc = block_encoding_ancillas(n)
     if t == 0:
         return ResourceReport(0, 0.0, 0, 0, n + 2 * b + 5)
     alpha = normalization(params).alpha_s
+    be_eps = eps / (3 * abs(t))  # out of range for too long or short a t
+    if not _priceable(be_eps, alpha):
+        raise OutOfRangeError(f"t = {t:.6g} is out of the closed forms' range")
     r = evolution_rounds(alpha, t, eps)
-    chs = block_encoding_cost(params, eps / (3 * abs(t))).t_real
+    chs = block_encoding_cost(params, be_eps).t_real
     lg = clog2(18 * (2 * r + 1) / eps)
     t_total = (r * (3 * chs + 48 * lg + 24 * b + 12 * C_ROT + 24)
                + 3 * chs + 24 * lg + 40 * b + 6 * C_ROT + 120)
+    if not math.isfinite(t_total):
+        raise OutOfRangeError(f"t = {t:.6g} is out of the closed forms' range")
     _, p1_junk = p1_ancillas(n)
     return ResourceReport(
         t_count=math.ceil(t_total), t_real=t_total,
@@ -282,10 +299,11 @@ def vpa_cost(params: ModelParams, t: float) -> ResourceReport:
     reflection costs one such reflection.
     """
     n = params.n_sites
-    _check_system(n)
     b = clog2(n)
     ct = evolution_cost(params, t, VPA_EVOLUTION_EPS).t_real
     t_total = AE_TOTAL_QUERIES * (ct + 4 * n + 8 * b + 12)
+    if not math.isfinite(t_total):
+        raise OutOfRangeError(f"t = {t:.6g} is out of the closed forms' range")
     anc = vpa_ancillas(n)
     return ResourceReport(
         t_count=math.ceil(t_total), t_real=t_total,
@@ -318,6 +336,8 @@ TABLE3_WT = (1.0, 10.0, 100.0)
 def table3(n_values=TABLE3_N, wt_values=TABLE3_WT,
            rate: float = DEFAULT_T_RATE) -> list[EstimateRow]:
     """End-to-end estimates over the benchmark grid (eps = 0.01 total)."""
+    if not (n_values and wt_values) or not 0 < rate < math.inf:
+        raise OutOfRangeError("empty grid, or a rate not finite and positive")
     rows = []
     for n in n_values:
         params = benchmark_params(n)
@@ -346,9 +366,11 @@ def physical_qubits(t_count: float, n_logical: int,
     """Surface-code footprint: smallest odd distance d with
     0.1 (100 p)^((d+1)/2) < 1/M, M = 100 T, then 4 * N_tot * 2 d^2."""
     if not 0 < p_phys < 0.01:
-        raise ValueError("p_phys must be in (0, 0.01): the logical error "
-                         "rate no longer decreases with distance otherwise")
+        raise OutOfRangeError("p_phys must be in (0, 0.01): the logical "
+                              "error rate no longer falls with distance")
     m_gates = 100.0 * t_count
+    if not math.isfinite(m_gates):  # 1/M = 0: no distance would do
+        raise OutOfRangeError(f"T count {t_count:.6g} is too large to price")
     d = 1
     while 0.1 * (100 * p_phys) ** ((d + 1) / 2) >= 1.0 / m_gates:
         d += 2

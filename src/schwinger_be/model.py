@@ -22,6 +22,15 @@ import numpy as np
 DENSE_LIMIT = 12
 
 
+class OutOfRangeError(ValueError):
+    """An input outside its rule's domain: a usage error, not a fault."""
+
+
+def _check_dense(n: int) -> None:
+    if n > DENSE_LIMIT:
+        raise OutOfRangeError(f"{n} sites exceeds dense limit {DENSE_LIMIT}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Lattice parameters. Derived couplings: w = 1/(2a), J = g^2 a / 2."""
@@ -33,11 +42,11 @@ class ModelParams:
 
     def __post_init__(self):
         if self.n_sites < 2 or self.n_sites % 2 != 0:
-            raise ValueError("n_sites must be an even integer >= 2")
+            raise OutOfRangeError("n_sites must be an even integer >= 2")
         if not self.spacing > 0:
-            raise ValueError("lattice spacing must be positive")
+            raise OutOfRangeError("lattice spacing must be positive")
         if self.mass < 0:
-            raise ValueError("mass must be nonnegative")
+            raise OutOfRangeError("mass must be nonnegative")
 
     @property
     def w(self) -> float:
@@ -201,8 +210,7 @@ def _add_string(h: np.ndarray, n: int, ps: PauliString) -> None:
 def to_dense(terms: HamiltonianTerms,
              include_shift: bool = False) -> DenseOperator:
     n = terms.n_sites
-    if n > DENSE_LIMIT:
-        raise ValueError(f"{n} sites exceeds the dense limit {DENSE_LIMIT}")
+    _check_dense(n)
     h = np.zeros((1 << n, 1 << n), dtype=complex)
     for ps in terms.all_strings:
         _add_string(h, n, ps)
@@ -221,8 +229,7 @@ def _eig(params: ModelParams):
 def exact_evolution(params: ModelParams, t: float) -> DenseOperator:
     """The full unitary exp(-i H t), exact up to roundoff: a reference for
     tests, as the observables below evolve the vacuum alone."""
-    if params.n_sites > DENSE_LIMIT:
-        raise ValueError(f"{params.n_sites} sites exceeds the dense limit")
+    _check_dense(params.n_sites)
     if t == 0:
         return DenseOperator(params.n_sites,
                              np.eye(1 << params.n_sites, dtype=complex))
@@ -248,8 +255,7 @@ def z_signs(n_sites: int) -> np.ndarray:
 def _evolved_vacuum(params: ModelParams, t: float) -> np.ndarray:
     """exp(-i H t)|vac> from the cached eigenpairs; exactly |vac> at t = 0."""
     n = params.n_sites
-    if n > DENSE_LIMIT:  # refuse before any 2^N allocation
-        raise ValueError(f"{n} sites exceeds the dense limit {DENSE_LIMIT}")
+    _check_dense(n)  # refuse before any 2^N allocation
     v = vacuum_index(n)
     if t == 0:
         return np.eye(1, 1 << n, v, dtype=complex)[0]

@@ -302,14 +302,14 @@ def check_basis_permutation(circuit: Circuit,
                            dtype=np.int64)
     out = circuit_index_map(circuit, idx)
     regs = {name: r.qubits for name, r in circuit.registers.items()}
-    invals = {name: reg_values(idx, n, qs) for name, qs in regs.items()}
-    outvals = {name: reg_values(out, n, qs) for name, qs in regs.items()}
+    # register values as Python ints, converted once; inputs zipped by row
+    ins = zip(*[reg_values(idx, n, qs).tolist() for qs in regs.values()])
+    outs = {name: reg_values(out, n, qs).tolist() for name, qs in regs.items()}
     failures = []
-    for i in range(idx.shape[0]):
-        vin = {name: int(v[i]) for name, v in invals.items()}
-        expect = reference(vin)
-        for name, want in expect.items():
-            got = int(outvals[name][i])
+    for i, row in enumerate(ins):
+        vin = dict(zip(regs, row))
+        for name, want in reference(vin).items():
+            got = outs[name][i]
             if got != want:
                 failures.append((vin, name, want, got))
                 if len(failures) >= MAX_FAILURES:

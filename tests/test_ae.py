@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from schwinger_be import ae
-from schwinger_be.model import benchmark_params
+from schwinger_be.model import OutOfRangeError, benchmark_params
 
 
 def test_hoeffding_published_point():
@@ -128,3 +128,29 @@ def test_vpa_budget_split():
     r = ae.end_to_end_vpa(p, 0.4, 0.01, 0.05, 11)
     direct = ae.simulate_adaptive_ae(r.true_amplitude, 0.005, 0.05, 11)
     assert r.q_psi == direct.q_psi and r.estimate == direct.estimate
+
+
+def test_out_of_range_rules():
+    rng = np.random.default_rng(0)
+    for call in (lambda: ae.simulate_adaptive_ae(math.nan, 0.01, 0.05, 0),
+                 lambda: ae.simulate_adaptive_ae(0.5, 0.01, 1.0, 0),
+                 lambda: ae.simulate_adaptive_ae(0.5, math.nan, 0.05, 0),
+                 lambda: ae.hoeffding_queries(0.01, 0.0),
+                 lambda: ae.chebae_query_formula(1.0),
+                 lambda: ae.grover_outcome(-0.1, 0, rng)):
+        with pytest.raises(OutOfRangeError):
+            call()
+
+
+def test_clopper_pearson_matches_beta_ppf():
+    # the interval reads the Beta quantiles from betaincinv; scipy.stats'
+    # beta.ppf is the reference, and the floats must agree exactly
+    from scipy.stats import beta
+    for n in range(8, 137, 16):
+        for ones in range(n + 1):
+            for alpha in (0.05 / 8, 0.05 / 12):
+                lo = 0.0 if ones == 0 else beta.ppf(alpha / 2, ones,
+                                                    n - ones + 1)
+                hi = 1.0 if ones == n else beta.ppf(1 - alpha / 2, ones + 1,
+                                                    n - ones)
+                assert ae._clopper_pearson(ones, n, alpha) == (lo, hi)

@@ -193,3 +193,31 @@ def test_fragment_exact_at_22_qubits():
     circ, _ = be.fragment_circuit(benchmark_params(6))
     assert circ.n_qubits == 22
     assert be.fragment_error(benchmark_params(6)) <= 1e-10
+
+
+def test_verify_eps_domain():
+    # the default budget's delta eps/(14 alpha_S) must stay below 1, and an
+    # eps too small to price is refused at the costing
+    p = benchmark_params(8)
+    wall = 14 * normalization(p).alpha_s
+    for eps in (math.nan, math.inf, -math.inf, -1e-3, wall, 1e9, 1e-310):
+        with pytest.raises(be.OutOfRangeError):
+            be.verify(p, eps)
+    assert be.verify(p, 0.99 * wall).n_sites == 8
+
+
+def test_fragment_refuses_small_n_before_building():
+    p = benchmark_params(2)
+    with pytest.raises(be.OutOfRangeError, match="N >= 4"):
+        be.fragment_error(p)
+    with pytest.raises(be.OutOfRangeError):
+        be.verify(p, 1e-2, mode="full-statevector")
+    assert be.verify(benchmark_params(4), 1e-2,
+                     mode="full-statevector").passed
+
+
+def test_one_out_of_range_error():
+    from schwinger_be import ae, model
+    assert be.OutOfRangeError is model.OutOfRangeError
+    assert est.OutOfRangeError is ae.OutOfRangeError is model.OutOfRangeError
+    assert issubclass(model.OutOfRangeError, ValueError)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from schwinger_be import blockenc
+from schwinger_be import blockenc, estimator
 from schwinger_be.cli import main
 
 
@@ -78,6 +78,51 @@ def test_verify_library_error_is_not_usage_error(capsys, monkeypatch):
     monkeypatch.setattr(blockenc, "semantic_block", broken)
     with pytest.raises(ValueError, match="library fault"):
         main(["verify", "--N", "8"])
+
+
+# inputs the closed forms cannot price: a non-finite or overflowing time or
+# rate, an eps outside verify's [0, 14 alpha_S) (305.9 at N=8) or too small
+# to price, and empty value lists
+@pytest.mark.parametrize("argv", [
+    ("estimate", "--N", "16", "--wt", "inf"),
+    ("estimate", "--N", "16", "--wt=-inf"),
+    ("estimate", "--N", "16", "--wt", "nan"),
+    ("estimate", "--N", "16", "--wt", "1e300"),
+    ("estimate", "--N", "256", "--wt", "1e300"),
+    ("estimate", "--N", "8", "--wt", "1e297"),
+    ("estimate", "--N", "16", "--wt", "1e-7"),
+    ("estimate", "--rate", "nan"), ("estimate", "--rate", "inf"),
+    ("estimate", "--rate", "0"), ("estimate", "--wt"),
+    ("physical", "--wt", "inf"), ("physical", "--wt", "nan"),
+    ("physical", "--wt", "1e293"), ("physical", "--p-phys"),
+    ("physical", "--p-phys", "nan"),
+    ("verify", "--N", "8", "--epsilon", "nan"),
+    ("verify", "--N", "8", "--epsilon", "inf"),
+    ("verify", "--N", "8", "--epsilon", "1e9"),
+    ("verify", "--N", "8", "--epsilon", "306"),
+    ("verify", "--N", "8", "--epsilon", "1e-310"),
+    ("verify", "--N", "8", "--mode", "full-statevector", "--epsilon", "nan"),
+    ("ae", "--omega"), ("ae", "--omega", "nan", "--runs", "1")])
+def test_unpriceable_input_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("wt", ["1e290", "-1e290", "1e-5"])
+def test_estimate_prices_extreme_finite_times(capsys, wt):
+    code, out, _ = run(capsys, "estimate", "--N", "16", "256", f"--wt={wt}")
+    assert code == 0 and len(out.splitlines()) == 4
+
+
+@pytest.mark.parametrize("command", ["estimate", "physical"])
+def test_cost_library_error_is_not_usage_error(capsys, monkeypatch, command):
+    # as for verify: a plain ValueError from the library is a fault
+    def broken(*args, **kwargs):
+        raise ValueError("library fault")
+    monkeypatch.setattr(estimator, "vpa_cost", broken)
+    with pytest.raises(ValueError, match="library fault"):
+        main([command])
 
 
 def test_verify_arithmetic_suite(capsys):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -159,3 +160,54 @@ def test_logical_qubit_interpretation():
     n, b = 64, 6
     anc = max(n + 2 * b + 3, est.block_encoding_ancillas(n))
     assert est.logical_qubits(n) == n + 2 * b + 5 + anc
+
+
+def test_out_of_range_rules():
+    p = benchmark_params(16)
+    for call in (lambda: est.table3((), (1.0,)),
+                 lambda: est.table3((16,), ()),
+                 lambda: est.table3((16,), (1.0,), rate=math.nan),
+                 lambda: est.table3((16,), (1.0,), rate=math.inf),
+                 lambda: est.vpa_cost(benchmark_params(6), 1.0),
+                 lambda: est.evolution_cost(p, 1.0, 1.0),
+                 lambda: est.block_encoding_cost(p, 0.0),
+                 lambda: est.block_encoding_cost(p, 14 * 63.0),
+                 lambda: est.physical_qubits(1e12, 100, 0.01),
+                 lambda: est.physical_qubits(1e307, 100, 1e-3)):
+        with pytest.raises(est.OutOfRangeError):
+            call()
+
+
+@pytest.mark.parametrize("n", [8, 16, 256])
+def test_costs_are_finite_or_refused(n):
+    # over the times and errors where the closed forms start to overflow,
+    # each cost is a finite count or an OutOfRangeError, never an overflow
+    p = benchmark_params(n)
+    alpha = normalization(p).alpha_s
+    refused = set()
+    for k in range(270, 309):
+        for label, call in (
+                ("be", lambda: est.block_encoding_cost(p, 10.0 ** -k)),
+                ("evo", lambda: est.evolution_cost(p, 10.0 ** k, 0.005)),
+                ("vpa", lambda: est.vpa_cost(p, 10.0 ** k)),
+                ("phys", lambda: est.physical_qubits(
+                    est.vpa_cost(p, 10.0 ** k).t_real, 100, 1e-3))):
+            try:
+                rep = call()
+            except est.OutOfRangeError:
+                refused.add((label, k))
+                continue
+            t = rep.physical_qubits if label == "phys" else rep.t_real
+            assert math.isfinite(t)
+    # the costs price |t| = 1e290 and refuse every time from 1e300 on
+    assert not {("evo", 290), ("vpa", 290)} & refused
+    assert all(("evo", k) in refused for k in range(300, 309))
+    # the refused block errors are those whose P2 rotation error e1/(2d),
+    # e1 = eps/(14 alpha_S), falls below the smallest normal float
+    for k in range(270, 309):
+        e1 = 10.0 ** -k / (14 * alpha)
+        tiny = e1 / (2 * est.amplification_rounds(e1))
+        assert (("be", k) in refused) == (tiny < sys.float_info.min)
+    for t in (math.inf, -math.inf, math.nan):
+        with pytest.raises(est.OutOfRangeError):
+            est.evolution_cost(p, t, 0.005)

@@ -231,3 +231,16 @@ def test_observables_match_full_unitary_column(n):
         assert abs(M.particle_density(p, t) - nu) < 1e-13
     assert M.vacuum_persistence(p, 0.0) == 1 + 0j
     assert abs(M.particle_density(p, 0.0)) <= 1e-12
+
+
+def test_out_of_range_rules():
+    for kw in (dict(n_sites=3), dict(n_sites=0), dict(spacing=0.0),
+               dict(spacing=math.nan), dict(mass=-0.1)):
+        with pytest.raises(M.OutOfRangeError):
+            M.ModelParams(**{"n_sites": 4, **M.BENCHMARK, **kw})
+    p = M.benchmark_params(14)
+    for call in (lambda: M.to_dense(M.build_hamiltonian(p)),
+                 lambda: M.exact_evolution(p, 0.0),
+                 lambda: M.vacuum_persistence(p, 0.3)):
+        with pytest.raises(M.OutOfRangeError, match="dense limit"):
+            call()

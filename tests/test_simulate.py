@@ -328,3 +328,20 @@ def test_permutation_check_samples_above_exhaustive_limit():
     wrong = check_basis_permutation(circ, lambda v: {"out": v["out"]})
     assert not wrong.ok
     assert len(wrong.failures) == simulate.MAX_FAILURES == 10
+
+
+def test_permutation_failures_hold_python_ints():
+    # the reference sees, and the failures record, plain ints per register
+    circ, _ = arithmetic("sub", 3)
+    seen = []
+
+    def ref(v):
+        seen.append(v)
+        return {"b": v["b"] + 1}
+    verdict = check_basis_permutation(circ, ref)
+    assert not verdict.ok and len(verdict.failures) == simulate.MAX_FAILURES
+    vin, name, want, got = verdict.failures[0]
+    assert name == "b" and vin is seen[0]
+    assert set(vin) == set(circ.registers)
+    assert all(type(x) is int for x in (*vin.values(), want, got))
+    assert got == (vin["a"] - vin["b"]) % 8
