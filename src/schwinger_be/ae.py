@@ -36,10 +36,15 @@ def chebae_query_formula(eps: float) -> int:
     return math.ceil(5.874534 / eps * math.log(2.08 * math.log(2 / eps)))
 
 
-def grover_outcome(omega: float, k: int, rng: np.random.Generator) -> int:
-    """One measurement after k Grover iterations: Bernoulli(sin^2((2k+1)t))."""
+def check_omega(omega: float) -> None:
+    """The amplitude rule of the simulators: omega in [0, 1]."""
     if not 0 <= omega <= 1:
         raise OutOfRangeError("omega must be in [0,1]")
+
+
+def grover_outcome(omega: float, k: int, rng: np.random.Generator) -> int:
+    """One measurement after k Grover iterations: Bernoulli(sin^2((2k+1)t))."""
+    check_omega(omega)
     if k < 0:
         raise ValueError("depth must be nonnegative")
     p = math.sin((2 * k + 1) * math.asin(omega)) ** 2
@@ -101,8 +106,7 @@ def simulate_adaptive_ae(omega: float, eps: float, delta: float,
     Each level pools its shots into one exact binomial interval at
     delta/levels, and intervals across levels intersect.
     """
-    if not 0 <= omega <= 1:
-        raise OutOfRangeError("omega must be in [0,1]")
+    check_omega(omega)
     if not 0 < eps < 1 or not 0 < delta < 1:
         raise OutOfRangeError("eps and delta must be in (0,1)")
     rng = np.random.default_rng(seed)

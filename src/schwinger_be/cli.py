@@ -158,6 +158,8 @@ def cmd_ae(args) -> int:
               if args.omega is None else args.omega)
     if not omegas or args.runs < 1:
         raise OutOfRangeError("omega needs a value and runs must be >= 1")
+    for om in omegas:  # the whole list, before any run
+        ae.check_omega(om)
     seed = args.seed if args.seed is not None else _default_seed()
     lines = []
     summary = {}

@@ -245,7 +245,11 @@ def block_encoding_cost(params: ModelParams, eps: float) -> ResourceReport:
 
 def evolution_rounds(alpha: float, t: float, eps: float) -> int:
     """Smallest even r >= 2*alpha*|t| + 3 ln(9/eps)."""
-    r = math.ceil(2 * alpha * abs(t) + 3 * math.log(9 / eps))
+    bound = 2 * alpha * abs(t) + 3 * math.log(9 / eps)
+    if not math.isfinite(bound):  # 9/eps overflows below eps = 5e-308
+        raise OutOfRangeError(f"t = {t:.6g} and eps = {eps:.6g} give no "
+                              "finite round count")
+    r = math.ceil(bound)
     return r + 1 if r % 2 == 1 else r
 
 
@@ -266,7 +270,10 @@ def evolution_cost(params: ModelParams, t: float,
         raise OutOfRangeError(f"t = {t:.6g} is out of the closed forms' range")
     r = evolution_rounds(alpha, t, eps)
     chs = block_encoding_cost(params, be_eps).t_real
-    lg = clog2(18 * (2 * r + 1) / eps)
+    phase_ratio = 18 * (2 * r + 1) / eps
+    if not math.isfinite(phase_ratio):
+        raise OutOfRangeError(f"eps = {eps:.6g} is too small to price")
+    lg = clog2(phase_ratio)
     t_total = (r * (3 * chs + 48 * lg + 24 * b + 12 * C_ROT + 24)
                + 3 * chs + 24 * lg + 40 * b + 6 * C_ROT + 120)
     if not math.isfinite(t_total):

@@ -7,9 +7,15 @@ coefficient classes (XX, YY, single-Z mass, the two staggered cumulative-Z
 ladders, and the squared cumulative-Z term) plus a scalar shift; that
 grouping is what the block-encoding assembles term by term.
 
-Everything here is dense and exact: one eigendecomposition gives the evolved
-vacuum exp(-iHt)|vac>, from which both the vacuum persistence amplitude
-G(t) = <vac|exp(-iHt)|vac> and the particle production density are read.
+The hopping XX + YY conserves the number of ones and every other term is
+diagonal, so the Neel vacuum never leaves the half-filled sector of
+C(N, N/2) basis states.  The observables work there alone: one cached real
+eigendecomposition of that block gives the evolved vacuum exp(-iHt)|vac>,
+from which both the vacuum persistence amplitude G(t) = <vac|exp(-iHt)|vac>
+and the particle production density are read, up to N = SECTOR_LIMIT.
+``to_dense`` and ``exact_evolution`` stay full-space (2^N, up to
+DENSE_LIMIT): the first feeds the block-encoding checks, the second is the
+tests' reference.
 """
 from __future__ import annotations
 
@@ -20,15 +26,16 @@ from functools import lru_cache
 import numpy as np
 
 DENSE_LIMIT = 12
+SECTOR_LIMIT = 14
 
 
 class OutOfRangeError(ValueError):
     """An input outside its rule's domain: a usage error, not a fault."""
 
 
-def _check_dense(n: int) -> None:
-    if n > DENSE_LIMIT:
-        raise OutOfRangeError(f"{n} sites exceeds dense limit {DENSE_LIMIT}")
+def _check_limit(n: int, limit: int, kind: str) -> None:
+    if n > limit:
+        raise OutOfRangeError(f"{n} sites exceeds {kind} limit {limit}")
 
 
 @dataclass(frozen=True)
@@ -95,8 +102,13 @@ class HamiltonianTerms:
     constant_shift: float
 
     @property
+    def diagonal(self) -> tuple[PauliString, ...]:
+        """Every group but the hopping: the Z strings."""
+        return self.z + self.z_even + self.z_odd + self.z_squared
+
+    @property
     def all_strings(self) -> tuple[PauliString, ...]:
-        return self.xx + self.yy + self.z + self.z_even + self.z_odd + self.z_squared
+        return self.xx + self.yy + self.diagonal
 
 
 @dataclass(frozen=True)
@@ -210,7 +222,7 @@ def _add_string(h: np.ndarray, n: int, ps: PauliString) -> None:
 def to_dense(terms: HamiltonianTerms,
              include_shift: bool = False) -> DenseOperator:
     n = terms.n_sites
-    _check_dense(n)
+    _check_limit(n, DENSE_LIMIT, "dense")
     h = np.zeros((1 << n, 1 << n), dtype=complex)
     for ps in terms.all_strings:
         _add_string(h, n, ps)
@@ -219,21 +231,15 @@ def to_dense(terms: HamiltonianTerms,
     return DenseOperator(n, h)
 
 
-@lru_cache(maxsize=1)  # an entry pins 2^N x 2^N vectors, 256 MiB at N=12
-def _eig(params: ModelParams):
-    h = to_dense(build_hamiltonian(params), include_shift=True).matrix
-    vals, vecs = np.linalg.eigh(h)
-    return vals, vecs
-
-
 def exact_evolution(params: ModelParams, t: float) -> DenseOperator:
     """The full unitary exp(-i H t), exact up to roundoff: a reference for
-    tests, as the observables below evolve the vacuum alone."""
-    _check_dense(params.n_sites)
+    tests, from its own uncached full-space eigendecomposition."""
+    _check_limit(params.n_sites, DENSE_LIMIT, "dense")
     if t == 0:
         return DenseOperator(params.n_sites,
                              np.eye(1 << params.n_sites, dtype=complex))
-    vals, vecs = _eig(params)
+    h = to_dense(build_hamiltonian(params), include_shift=True).matrix
+    vals, vecs = np.linalg.eigh(h)
     u = (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
     return DenseOperator(params.n_sites, u)
 
@@ -252,25 +258,75 @@ def z_signs(n_sites: int) -> np.ndarray:
     return 1.0 - 2 * ((np.arange(1 << n_sites) >> shifts) & 1)
 
 
-def _evolved_vacuum(params: ModelParams, t: float) -> np.ndarray:
-    """exp(-i H t)|vac> from the cached eigenpairs; exactly |vac> at t = 0."""
-    n = params.n_sites
-    _check_dense(n)  # refuse before any 2^N allocation
-    v = vacuum_index(n)
+def _check_charge(terms: HamiltonianTerms) -> None:
+    """Raise unless the terms conserve the number of ones: every XX string
+    has a YY partner on the same two sites with the same coefficient, and
+    every other string is diagonal."""
+    xx = sorted((ps.letters.replace("X", "Y"), ps.coefficient)
+                for ps in terms.xx)
+    yy = sorted((ps.letters, ps.coefficient) for ps in terms.yy)
+    if (xx != yy or any(s.replace("I", "") != "YY" for s, _ in yy)
+            or any(set(ps.letters) - set("IZ") for ps in terms.diagonal)):
+        raise ValueError("the terms do not conserve the charge: the hopping "
+                         "is not XX + YY on site pairs, or a term is not "
+                         "diagonal")
+
+
+def sector_hamiltonian(terms: HamiltonianTerms) -> tuple[np.ndarray,
+                                                         np.ndarray]:
+    """The half-filled block of H (shift included): its sorted basis indices,
+    those with N/2 of the N bits set, and the real symmetric matrix on them."""
+    n = terms.n_sites
+    _check_limit(n, SECTOR_LIMIT, "sector")  # before any 2^N allocation
+    _check_charge(terms)
+    z = z_signs(n)
+    basis = np.flatnonzero(z.sum(axis=0) == 0)
+    zs = z[:, basis]
+    zmask = np.array([[c == "Z" for c in ps.letters] for ps in terms.diagonal],
+                     dtype=float)
+    parity = (zmask @ ((1 - zs) / 2)) % 2  # ones under each string's Z sites
+    coeffs = np.array([ps.coefficient for ps in terms.diagonal])
+    h = np.diag(coeffs @ (1 - 2 * parity) + terms.constant_shift)
+    for ps in terms.xx + terms.yy:  # each adds its coefficient on 01 <-> 10
+        i, k = (s for s, c in enumerate(ps.letters) if c != "I")
+        rows = np.flatnonzero(zs[i] != zs[k])
+        flip = (1 << (n - 1 - i)) | (1 << (n - 1 - k))
+        h[rows, np.searchsorted(basis, basis[rows] ^ flip)] += ps.coefficient
+    return basis, h
+
+
+@lru_cache(maxsize=1)  # an entry pins C(N, N/2)^2 floats, 94 MB at N=14
+def _sector_eig(params: ModelParams):
+    """The vacuum's position in the sector basis, the basis states' Z signs
+    and the block's real eigenpairs."""
+    basis, h = sector_hamiltonian(build_hamiltonian(params))
+    vals, vecs = np.linalg.eigh(h)
+    vac = int(np.searchsorted(basis, vacuum_index(params.n_sites)))
+    return vac, z_signs(params.n_sites)[:, basis], vals, vecs
+
+
+def _evolved_vacuum(params: ModelParams, t: float):
+    """exp(-i H t)|vac> on the sector basis, with the vacuum's position and
+    the Z signs there; exactly |vac> at t = 0.  The eigenvectors are real,
+    so the evolution is two real mat-vecs."""
+    # refuse before building the terms
+    _check_limit(params.n_sites, SECTOR_LIMIT, "sector")
+    vac, zs, vals, vecs = _sector_eig(params)
     if t == 0:
-        return np.eye(1, 1 << n, v, dtype=complex)[0]
-    vals, vecs = _eig(params)
-    return vecs @ (np.exp(-1j * vals * t) * vecs[v].conj())
+        return np.eye(1, vals.size, vac, dtype=complex)[0], vac, zs
+    c = np.exp(-1j * vals * t) * vecs[vac]
+    return vecs @ c.real + 1j * (vecs @ c.imag), vac, zs
 
 
 def vacuum_persistence(params: ModelParams, t: float) -> complex:
-    return complex(_evolved_vacuum(params, t)[vacuum_index(params.n_sites)])
+    psi, vac, _ = _evolved_vacuum(params, t)
+    return complex(psi[vac])
 
 
 def particle_density(params: ModelParams, t: float) -> float:
     """Pair-production density nu(t) relative to the Neel vacuum, from the
     Z expectations of the evolved vacuum."""
     n = params.n_sites
-    probs = np.abs(_evolved_vacuum(params, t)) ** 2
-    zexp = np.sum(probs * z_signs(n), axis=1)
+    psi, _, zs = _evolved_vacuum(params, t)
+    zexp = np.sum(np.abs(psi) ** 2 * zs, axis=1)
     return float(sum((-1) ** s * zexp[s] + 1 for s in range(n))) / (2 * n)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from schwinger_be import blockenc, estimator
+from schwinger_be import ae, blockenc, estimator
 from schwinger_be.cli import main
 
 
@@ -157,7 +157,7 @@ def test_dynamics_dense_limit(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("--N", "3"), ("--N", "0"), ("--N", "-2"), ("--N", "14"),
+    ("--N", "3"), ("--N", "0"), ("--N", "-2"), ("--N", "16"),
     ("--steps", "-2"), ("--steps", "0"),
     ("--t-max", "nan"), ("--t-max", "inf"), ("--t-max=-inf",)])
 def test_dynamics_usage_errors(capsys, argv):
@@ -193,6 +193,17 @@ def test_ae_hoeffding_flag(capsys):
 def test_ae_rejects_bad_omega(capsys):
     code, _, _ = run(capsys, "ae", "--omega", "1.5", "--runs", "1")
     assert code == 2
+
+
+def test_ae_checks_every_omega_before_any_run(capsys, monkeypatch):
+    calls = []
+    real = ae.simulate_adaptive_ae
+    monkeypatch.setattr(ae, "simulate_adaptive_ae",
+                        lambda *a: calls.append(a) or real(*a))
+    code, out, err = run(capsys, "ae", "--omega", "0.5", "1.5",
+                         "--runs", "1000")
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert calls == []
 
 
 @pytest.mark.parametrize("argv", [

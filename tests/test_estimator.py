@@ -211,3 +211,19 @@ def test_costs_are_finite_or_refused(n):
     for t in (math.inf, -math.inf, math.nan):
         with pytest.raises(est.OutOfRangeError):
             est.evolution_cost(p, t, 0.005)
+
+
+@pytest.mark.parametrize("n", [8, 16, 256])
+def test_evolution_errors_are_finite_or_refused(n):
+    # down to the subnormal evolution errors, where 9/eps and the phase
+    # estimation's 18 (2r + 1)/eps overflow, each cost is finite or refused
+    p = benchmark_params(n)
+    for t in (1e-10, 1e-3, 1.0):
+        for k in range(270, 324):
+            try:
+                rep = est.evolution_cost(p, t, 10.0 ** -k)
+            except est.OutOfRangeError:
+                continue
+            assert math.isfinite(rep.t_real)
+    with pytest.raises(est.OutOfRangeError):
+        est.evolution_cost(benchmark_params(16), 1e-10, 1e-305)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -143,12 +144,12 @@ def test_dense_limit_guard():
 
 
 def test_observables_refuse_past_dense_limit_before_allocating():
-    # at N=14 even the t = 0 basis vector would take 256 KiB
+    # at N=16 the 2^N Z-sign table that finds the sector would take 8 MiB
     tracemalloc.start()
     try:
         for fn in (M.vacuum_persistence, M.particle_density):
-            with pytest.raises(ValueError, match="dense limit"):
-                fn(M.benchmark_params(14), 0.0)
+            with pytest.raises(ValueError, match="sector limit"):
+                fn(M.benchmark_params(16), 0.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -240,7 +241,44 @@ def test_out_of_range_rules():
             M.ModelParams(**{"n_sites": 4, **M.BENCHMARK, **kw})
     p = M.benchmark_params(14)
     for call in (lambda: M.to_dense(M.build_hamiltonian(p)),
-                 lambda: M.exact_evolution(p, 0.0),
-                 lambda: M.vacuum_persistence(p, 0.3)):
+                 lambda: M.exact_evolution(p, 0.0)):
         with pytest.raises(M.OutOfRangeError, match="dense limit"):
             call()
+    with pytest.raises(M.OutOfRangeError, match="sector limit"):
+        M.vacuum_persistence(M.benchmark_params(16), 0.3)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+def test_sector_matrix_is_the_dense_block(n):
+    terms = M.build_hamiltonian(M.benchmark_params(n))
+    basis, h = M.sector_hamiltonian(terms)
+    full = M.to_dense(terms, include_shift=True).matrix
+    ones = [bin(i).count("1") for i in range(1 << n)]
+    assert list(basis) == [i for i in range(1 << n) if ones[i] == n // 2]
+    assert h.dtype == float
+    assert np.max(np.abs(full[np.ix_(basis, basis)] - h)) < 1e-13
+    rest = np.setdiff1d(np.arange(1 << n), basis)
+    assert not np.any(full[np.ix_(rest, basis)])
+    assert not np.any(full[np.ix_(basis, rest)])
+
+
+def test_sector_observables_n12():
+    p = M.benchmark_params(12)
+    assert M.particle_density(p, 0.0) == 0.0
+    for t in (0.3, 1.7, 4.0):
+        psi = M._evolved_vacuum(p, t)[0]
+        assert abs(np.linalg.norm(psi) - 1) < 1e-12
+        g = M.vacuum_persistence(p, t)
+        assert abs(g) <= 1 + 1e-12
+        assert abs(M.vacuum_persistence(p, -t) - np.conj(g)) < 1e-14
+
+
+def test_charge_check_refuses_unpaired_hopping():
+    terms = M.build_hamiltonian(M.benchmark_params(6))
+    broken = replace(terms, yy=(replace(terms.yy[0], coefficient=0.3),)
+                     + terms.yy[1:])
+    with pytest.raises(ValueError, match="conserve the charge"):
+        M.sector_hamiltonian(broken)
+    offdiagonal = replace(terms, z=(M.PauliString(0.1, "XIIIII"),))
+    with pytest.raises(ValueError, match="conserve the charge"):
+        M.sector_hamiltonian(offdiagonal)
