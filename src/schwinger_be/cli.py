@@ -136,8 +136,7 @@ def cmd_dynamics(args) -> int:
     params = model.benchmark_params(args.N)
     rows = []
     for t in np.linspace(0.0, args.t_max, args.steps):
-        g = model.vacuum_persistence(params, float(t))
-        nu = model.particle_density(params, float(t))
+        g, nu = model.vacuum_observables(params, float(t))
         rows.append({"t": f"{t:.8f}", "re_g": f"{g.real:.12f}",
                      "im_g": f"{g.imag:.12f}", "abs_g": f"{abs(g):.12f}",
                      "nu": f"{nu:.12f}"})

@@ -221,13 +221,16 @@ def _add_string(h: np.ndarray, n: int, ps: PauliString) -> None:
 
 def to_dense(terms: HamiltonianTerms,
              include_shift: bool = False) -> DenseOperator:
+    """The full 2^N matrix: XX and YY strings off the diagonal, the Z
+    strings' sum (plus the shift, if asked) on it."""
     n = terms.n_sites
     _check_limit(n, DENSE_LIMIT, "dense")
     h = np.zeros((1 << n, 1 << n), dtype=complex)
-    for ps in terms.all_strings:
+    for ps in terms.xx + terms.yy:
         _add_string(h, n, ps)
-    if include_shift:
-        h += terms.constant_shift * np.eye(1 << n)
+    diag = z_diagonal(terms.diagonal, z_signs(n))
+    np.fill_diagonal(h, diag + terms.constant_shift if include_shift
+                     else diag)
     return DenseOperator(n, h)
 
 
@@ -258,6 +261,25 @@ def z_signs(n_sites: int) -> np.ndarray:
     return 1.0 - 2 * ((np.arange(1 << n_sites) >> shifts) & 1)
 
 
+def z_diagonal(strings, zs: np.ndarray) -> np.ndarray:
+    """Diagonal of a sum of I/Z strings on the basis states whose Z signs
+    are the columns of ``zs``, added string by string in the order given.
+    Each term is +-coefficient exactly, so a sum over ``terms.diagonal`` is
+    the one ``to_dense`` puts on its diagonal, bit for bit.  Raises
+    ``ValueError`` on a string with an X or Y, which has no diagonal."""
+    out = np.zeros(zs.shape[1])
+    term = np.empty_like(out)
+    for ps in strings:
+        term.fill(ps.coefficient)
+        for site, letter in enumerate(ps.letters):
+            if letter == "Z":
+                term *= zs[site]
+            elif letter != "I":
+                raise ValueError(f"{ps.letters} is not an I/Z string")
+        out += term
+    return out
+
+
 def _check_charge(terms: HamiltonianTerms) -> None:
     """Raise unless the terms conserve the number of ones: every XX string
     has a YY partner on the same two sites with the same coefficient, and
@@ -272,6 +294,18 @@ def _check_charge(terms: HamiltonianTerms) -> None:
                          "diagonal")
 
 
+@lru_cache(maxsize=1)
+def _sector_basis(n_sites: int):
+    """The half-filled sector: its sorted basis indices (N/2 of the N bits
+    set), the vacuum's position among them and their Z signs.  Read-only,
+    as every caller shares them."""
+    z = z_signs(n_sites)
+    basis = np.flatnonzero(z.sum(axis=0) == 0)
+    zs = z[:, basis]
+    basis.flags.writeable = zs.flags.writeable = False
+    return basis, int(np.searchsorted(basis, vacuum_index(n_sites))), zs
+
+
 def sector_hamiltonian(terms: HamiltonianTerms) -> tuple[np.ndarray,
                                                          np.ndarray]:
     """The half-filled block of H (shift included): its sorted basis indices,
@@ -279,14 +313,8 @@ def sector_hamiltonian(terms: HamiltonianTerms) -> tuple[np.ndarray,
     n = terms.n_sites
     _check_limit(n, SECTOR_LIMIT, "sector")  # before any 2^N allocation
     _check_charge(terms)
-    z = z_signs(n)
-    basis = np.flatnonzero(z.sum(axis=0) == 0)
-    zs = z[:, basis]
-    zmask = np.array([[c == "Z" for c in ps.letters] for ps in terms.diagonal],
-                     dtype=float)
-    parity = (zmask @ ((1 - zs) / 2)) % 2  # ones under each string's Z sites
-    coeffs = np.array([ps.coefficient for ps in terms.diagonal])
-    h = np.diag(coeffs @ (1 - 2 * parity) + terms.constant_shift)
+    basis, _, zs = _sector_basis(n)
+    h = np.diag(z_diagonal(terms.diagonal, zs) + terms.constant_shift)
     for ps in terms.xx + terms.yy:  # each adds its coefficient on 01 <-> 10
         i, k = (s for s, c in enumerate(ps.letters) if c != "I")
         rows = np.flatnonzero(zs[i] != zs[k])
@@ -297,25 +325,34 @@ def sector_hamiltonian(terms: HamiltonianTerms) -> tuple[np.ndarray,
 
 @lru_cache(maxsize=1)  # an entry pins C(N, N/2)^2 floats, 94 MB at N=14
 def _sector_eig(params: ModelParams):
-    """The vacuum's position in the sector basis, the basis states' Z signs
-    and the block's real eigenpairs."""
-    basis, h = sector_hamiltonian(build_hamiltonian(params))
-    vals, vecs = np.linalg.eigh(h)
-    vac = int(np.searchsorted(basis, vacuum_index(params.n_sites)))
-    return vac, z_signs(params.n_sites)[:, basis], vals, vecs
+    """The sector block's real eigenpairs."""
+    return np.linalg.eigh(sector_hamiltonian(build_hamiltonian(params))[1])
 
 
 def _evolved_vacuum(params: ModelParams, t: float):
     """exp(-i H t)|vac> on the sector basis, with the vacuum's position and
-    the Z signs there; exactly |vac> at t = 0.  The eigenvectors are real,
-    so the evolution is two real mat-vecs."""
+    the Z signs there; exactly |vac> at t = 0, with no eigendecomposition.
+    The eigenvectors are real, so the evolution is two real mat-vecs."""
     # refuse before building the terms
     _check_limit(params.n_sites, SECTOR_LIMIT, "sector")
-    vac, zs, vals, vecs = _sector_eig(params)
+    basis, vac, zs = _sector_basis(params.n_sites)
     if t == 0:
-        return np.eye(1, vals.size, vac, dtype=complex)[0], vac, zs
+        return np.eye(1, basis.size, vac, dtype=complex)[0], vac, zs
+    vals, vecs = _sector_eig(params)
     c = np.exp(-1j * vals * t) * vecs[vac]
     return vecs @ c.real + 1j * (vecs @ c.imag), vac, zs
+
+
+def vacuum_observables(params: ModelParams, t: float) -> tuple[complex,
+                                                                float]:
+    """G(t) = <vac|exp(-iHt)|vac> and the pair-production density nu(t)
+    relative to the Neel vacuum, both read from one evolved vacuum; nu comes
+    from its Z expectations."""
+    n = params.n_sites
+    psi, vac, zs = _evolved_vacuum(params, t)
+    zexp = np.sum(np.abs(psi) ** 2 * zs, axis=1).tolist()
+    nu = sum((-1) ** s * zexp[s] + 1 for s in range(n)) / (2 * n)
+    return complex(psi[vac]), nu
 
 
 def vacuum_persistence(params: ModelParams, t: float) -> complex:
@@ -324,9 +361,4 @@ def vacuum_persistence(params: ModelParams, t: float) -> complex:
 
 
 def particle_density(params: ModelParams, t: float) -> float:
-    """Pair-production density nu(t) relative to the Neel vacuum, from the
-    Z expectations of the evolved vacuum."""
-    n = params.n_sites
-    psi, _, zs = _evolved_vacuum(params, t)
-    zexp = np.sum(np.abs(psi) ** 2 * zs, axis=1)
-    return float(sum((-1) ** s * zexp[s] + 1 for s in range(n))) / (2 * n)
+    return vacuum_observables(params, t)[1]

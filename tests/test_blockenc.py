@@ -166,7 +166,16 @@ def test_verify_row_sum_equals_spectral_norm(n, point):
 
 def test_verify_semantic_limit():
     with pytest.raises(ValueError):
-        be.verify(benchmark_params(12), 1e-2)
+        be.verify(benchmark_params(18), 1e-2)
+
+
+def test_verify_n16_builds_no_dense_matrix(monkeypatch):
+    # Table 3's smallest size: the semantic check compares two diagonals
+    def dense(*args, **kwargs):
+        raise AssertionError("verify built a 2^N x 2^N matrix")
+    monkeypatch.setattr(be, "to_dense", dense)
+    rec = be.verify(benchmark_params(16), 1e-2)
+    assert rec.passed and 0 < rec.measured_error <= 1e-2
 
 
 def test_fragment_past_simulator_refused_early():

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from schwinger_be import ae, blockenc, estimator
+from schwinger_be import ae, blockenc, estimator, model
 from schwinger_be.cli import main
 
 
@@ -62,8 +62,8 @@ def test_verify_rejects_odd_n(capsys):
     (("--N", "10", "--mode", "full-statevector"), "simulation limit"),
     (("--N", "12", "--mode", "full-statevector"), "simulation limit"),
     (("--N", "40", "--mode", "full-statevector"), "simulation limit"),
-    (("--N", "12"), "N <= 10"),
-    (("--N", "40"), "N <= 10"),
+    (("--N", "18"), "N <= 16"),
+    (("--N", "40"), "N <= 16"),
     (("--epsilon", "-1"), "nonnegative")])
 def test_verify_out_of_range_is_usage_error(capsys, argv, reason):
     code, out, err = run(capsys, "verify", *argv)
@@ -75,7 +75,7 @@ def test_verify_library_error_is_not_usage_error(capsys, monkeypatch):
     # only out-of-range input is exit 2; a fault inside verify propagates
     def broken(*args, **kwargs):
         raise ValueError("library fault")
-    monkeypatch.setattr(blockenc, "semantic_block", broken)
+    monkeypatch.setattr(blockenc, "semantic_diagonal", broken)
     with pytest.raises(ValueError, match="library fault"):
         main(["verify", "--N", "8"])
 
@@ -149,6 +149,24 @@ def test_dynamics_series(capsys):
     assert float(first[4]) == pytest.approx(0.0, abs=1e-10)
     for ln in lines[1:]:
         assert float(ln.split(",")[3]) <= 1 + 1e-9
+
+
+def test_dynamics_rows_are_the_two_observables(capsys, monkeypatch):
+    # one evolution per row gives the same G and nu as the two functions
+    calls = []
+    evolve = model._evolved_vacuum
+    monkeypatch.setattr(model, "_evolved_vacuum",
+                        lambda *a: calls.append(a) or evolve(*a))
+    code, out, _ = run(capsys, "dynamics", "--N", "6", "--steps", "9")
+    assert code == 0 and len(calls) == 9
+    rows = [ln.split(",") for ln in out.splitlines()
+            if ln and not ln.startswith("#")][1:]
+    p = model.benchmark_params(6)
+    for row in rows:
+        t = float(row[0])
+        g, nu = model.vacuum_persistence(p, t), model.particle_density(p, t)
+        assert row[1:] == [f"{g.real:.12f}", f"{g.imag:.12f}",
+                           f"{abs(g):.12f}", f"{nu:.12f}"]
 
 
 def test_dynamics_dense_limit(capsys):

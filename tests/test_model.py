@@ -256,10 +256,34 @@ def test_sector_matrix_is_the_dense_block(n):
     ones = [bin(i).count("1") for i in range(1 << n)]
     assert list(basis) == [i for i in range(1 << n) if ones[i] == n // 2]
     assert h.dtype == float
-    assert np.max(np.abs(full[np.ix_(basis, basis)] - h)) < 1e-13
+    assert np.array_equal(full[np.ix_(basis, basis)], h)
     rest = np.setdiff1d(np.arange(1 << n), basis)
     assert not np.any(full[np.ix_(rest, basis)])
     assert not np.any(full[np.ix_(basis, rest)])
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8, 10])
+def test_to_dense_is_the_sum_of_every_string(n):
+    # the reference adds every string, the Z ones too, through _add_string
+    terms = M.build_hamiltonian(M.ModelParams(n_sites=n, spacing=0.3,
+                                              mass=0.2, coupling=1.1,
+                                              theta=0.7))
+    h = np.zeros((1 << n, 1 << n), dtype=complex)
+    for ps in terms.all_strings:
+        M._add_string(h, n, ps)
+    assert np.array_equal(M.to_dense(terms).matrix, h)
+    h += terms.constant_shift * np.eye(1 << n)
+    assert np.array_equal(M.to_dense(terms, include_shift=True).matrix, h)
+
+
+def test_observables_at_t0_run_no_eigendecomposition():
+    p = M.ModelParams(n_sites=10, spacing=0.2, mass=0.4, coupling=1.0,
+                      theta=0.3)
+    misses = M._sector_eig.cache_info().misses
+    assert M.vacuum_observables(p, 0.0) == (1 + 0j, 0.0)
+    assert M.vacuum_persistence(p, 0.0) == 1 + 0j
+    assert M.particle_density(p, 0.0) == 0.0
+    assert M._sector_eig.cache_info().misses == misses
 
 
 def test_sector_observables_n12():
@@ -282,3 +306,5 @@ def test_charge_check_refuses_unpaired_hopping():
     offdiagonal = replace(terms, z=(M.PauliString(0.1, "XIIIII"),))
     with pytest.raises(ValueError, match="conserve the charge"):
         M.sector_hamiltonian(offdiagonal)
+    with pytest.raises(ValueError, match="not an I/Z string"):
+        M.to_dense(offdiagonal)
