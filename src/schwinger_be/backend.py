@@ -17,13 +17,22 @@ updates both members of each pair. Phases act through masks on the index
 array.  A kernel that can shrink an amplitude drops the amplitudes of
 magnitude ``DROP`` or less afterwards, so cancellations shrink the support.
 
-Dense kernels reshape the vector so that each touched qubit has its own
-axis of length two, and each run of untouched qubits between them is merged
-into one axis.  A gate then acts on strided views of that array, and no
-kernel builds an index array over all 2^n amplitudes.
+Dense kernels reshape the vector so that each run of adjacent touched
+qubits has its own axis, and each run of untouched qubits between them
+another.  A gate then acts on strided views of that array, and no kernel
+builds an index array over all 2^n amplitudes.  The general one-qubit and
+the permutation kernels walk those views in blocks of about ``BLOCK``
+amplitudes, cut from the untouched axes in memory order, so that a block
+stays in cache while the kernel makes its several passes over it.  So no
+temporary of a dense kernel holds more than about ``BLOCK`` amplitudes,
+except where a permutation moves more than ``BLOCK / 2`` amplitudes at each
+setting of the untouched qubits: it then gathers two settings at a time.
+Each amplitude gets the same floating-point operations whatever the block
+size, so the states do not depend on it.
 """
 from __future__ import annotations
 
+import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -32,6 +41,10 @@ USE_NUMBA = False  # the kernels are plain numpy; the benchmark reports this
 
 #: amplitudes of this magnitude or less leave the support
 DROP = 1e-15
+#: amplitudes per block of a dense kernel: 256 KiB of complex128, so a
+#: block's two halves and temporaries stay in one core's 2 MiB L2 cache.
+#: 2^14 beat 2^12 and 2^16 on the dense-sim benchmark (see CHANGES.md).
+BLOCK = 1 << 14
 
 
 class Sparse(NamedTuple):
@@ -42,9 +55,13 @@ class Sparse(NamedTuple):
 
 def from_vector(vec: np.ndarray, max_support: int):
     """``vec`` as a sparse state if at most ``max_support`` of its amplitudes
-    are nonzero, else as a dense copy."""
-    if np.count_nonzero(vec) > max_support:
-        return np.array(vec, dtype=complex)
+    are nonzero, else as a dense copy.  The count stops at the first block
+    that takes it past ``max_support``."""
+    count = 0
+    for key in _blocks(vec.shape, BLOCK):
+        count += np.count_nonzero(vec[key])
+        if count > max_support:
+            return np.array(vec, dtype=complex)
     idx = np.flatnonzero(vec)
     return Sparse(idx, vec[idx].astype(complex, copy=False))
 
@@ -68,30 +85,55 @@ def _pruned(s: Sparse) -> Sparse:
     return s if keep.all() else Sparse(s.idx[keep], s.amp[keep])
 
 
+def _blocks(shape, size: int):
+    """Keys that cut an array of ``shape`` into blocks of about ``size``
+    elements in memory order, or one key, ``(...,)``, for the whole array if
+    it holds no more.  A key indexes the leading axes only and always gives
+    a view: ``(...,)`` keeps a 0-d array a 0-d view, where ``()`` would
+    give a scalar.
+
+    A block keeps at least two elements of the last axis, as the whole
+    array does: numpy's complex multiply can round a loop of one element
+    differently from a longer loop (seen with numpy 2.4 on AVX-512).
+    """
+    size = max(size, 2)
+    inner = 1
+    for k in range(len(shape) - 1, -1, -1):
+        if inner * shape[k] > size:
+            break
+        inner *= shape[k]
+    else:
+        yield (...,)
+        return
+    step = size // inner
+    for *lead, j in np.ndindex(*shape[:k], -(-shape[k] // step)):
+        yield (*lead, slice(j * step, (j + 1) * step))
+
+
 def _split(state: np.ndarray, mask: int):
-    """``state`` viewed with one length-2 axis per set bit of ``mask``, and
-    a function from basis indices (ints or int arrays) to the key that fixes
-    each of those axes to the indices' bit there."""
-    shape, axes, run = [], [], 0
-    for p in range(state.size.bit_length() - 2, -1, -1):
-        if mask >> p & 1:
-            if run:
-                shape.append(1 << run)
-                run = 0
-            axes.append((len(shape), p))
-            shape.append(2)
+    """``state`` viewed with one *touched* axis per run of adjacent set bits
+    of ``mask``, most significant first, then one *run* axis per run of the
+    other bits; and a function ``at(index, block)`` from basis indices (ints
+    or int arrays) to the key that fixes each touched axis to the indices'
+    bits there and indexes the run axes by ``block``, a key of ``_blocks``.
+    """
+    shape, touched, runs, fields = [], [], [], []
+    p = state.size.bit_length() - 1
+    for bit, group in itertools.groupby(mask >> q & 1
+                                        for q in range(p - 1, -1, -1)):
+        width = len(list(group))
+        p -= width
+        if bit:
+            touched.append(len(shape))
+            fields.append((p, (1 << width) - 1))
         else:
-            run += 1
-    if run:
-        shape.append(1 << run)
+            runs.append(len(shape))
+        shape.append(1 << width)
 
-    def at(index):
-        key = [slice(None)] * len(shape)
-        for ax, p in axes:
-            key[ax] = (index >> p) & 1
-        return (*key, Ellipsis)
+    def at(index, block=(...,)):
+        return (*((index >> p) & m for p, m in fields), *block)
 
-    return state.reshape(shape), at
+    return state.reshape(shape).transpose(touched + runs), at
 
 
 def apply_1q_ctrl(state, mat, tbit, cmask=0, cval=0):
@@ -126,14 +168,17 @@ def apply_1q_ctrl(state, mat, tbit, cmask=0, cval=0):
             np.concatenate((rest.amp, a * x[0] + b * x[1],
                             c * x[0] + d * x[1]))))
     v, at = _split(state, tbit | cmask)
-    x0, x1 = v[at(cval)], v[at(cval | tbit)]
-    # x0, x1 <- a x0 + b x1, c x0 + d x1, in place
+    v0, v1 = v[at(cval)], v[at(cval | tbit)]
     if b == 0 and c == 0:
+        # one pass over each half and no temporary: nothing to block
         if a != 1:
-            np.multiply(a, x0, out=x0)
+            np.multiply(a, v0, out=v0)
         if d != 1:
-            np.multiply(d, x1, out=x1)
-    else:
+            np.multiply(d, v1, out=v1)
+        return state
+    for key in _blocks(v0.shape, BLOCK):
+        x0, x1 = v0[key], v1[key]
+        # x0, x1 <- a x0 + b x1, c x0 + d x1, in place
         t = c * x0
         np.multiply(a, x0, out=x0)
         x0 += b * x1
@@ -169,5 +214,9 @@ def apply_permutation(state, index_map, mask):
     moved = image != local
     if moved.any():
         v, at = _split(state, mask)
-        v[at(image[moved])] = v[at(local[moved])]
+        src, dst = local[moved], image[moved]
+        # each block gathers about BLOCK amplitudes: all moved settings of
+        # the touched axes, times BLOCK // moved entries of the run axes
+        for key in _blocks(v[at(0)].shape, BLOCK // src.size):
+            v[at(dst, key)] = v[at(src, key)]
     return state

@@ -13,12 +13,17 @@ and turns dense for the rest of the circuit once the support holds more
 than ``2^n >> DENSE_SHIFT`` amplitudes; either way it returns the dense
 vector.  The switch point comes from the cost of the general one-qubit
 gate, the dearest kernel in sparse form: it sorts and merges the pairs at
-about 80 ns per support entry, where the dense kernel takes about 14 ns per
-amplitude (one core of an Intel Xeon, numpy 2.4, 2^16 to 2^20 amplitudes).
-Sparse is cheaper below about 2^n / 6 entries; ``DENSE_SHIFT = 3`` takes the
-power of two below that, where the sparse form (24 bytes an entry) still
-uses 3 bytes per amplitude against 16.  Permutations and phases cost about
-10 ns per entry or amplitude in either form and do not move the switch.
+about 50 to 170 ns per support entry (2^12 to 2^17 entries of a 20-qubit
+state), where the cache-blocked dense kernel takes about 7 ns per amplitude
+on average over the target qubit: 3 ns for index bits 2^12 and up, 4 to
+20 ns for the bits below, whose short rows numpy walks one by one (one core
+of an Intel Xeon with AVX-512, numpy 2.4, 2^20 amplitudes; before the
+blocking, 15 ns).  Sparse is cheaper below about 2^n / 12 to 2^n / 25
+entries.  ``DENSE_SHIFT = 3`` was set from the unblocked kernel's 2^n / 6
+and stays: moving it moves where ``DROP`` pruning applies, which can change
+states in their last bits.  At 2^n / 8 the sparse form (24 bytes an entry)
+uses 3 bytes per amplitude against 16.  Permutations and phases never widen
+the support, so they do not move the switch.
 
 Gates are simulated by family: a controlled kind is its base gate on the
 last qubit (or the last two registers, of width ``g.width or 1``) where all

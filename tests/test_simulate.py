@@ -256,6 +256,94 @@ def test_sparse_and_dense_match_reference(monkeypatch):
         assert np.max(np.abs(got - _ref_simulate(widen, vec))) <= 1e-12
 
 
+def _dense_gates(rng, kind, n):
+    """Gates of ``kind`` on n qubits, and for kinds that allow it one over
+    every qubit, whose dense view has no untouched axis (a 0-d view)."""
+    gates = [_random_gate(rng, kind, n) for _ in range(2)]
+    every = tuple(range(n))
+    if kind == "MCX":
+        gates.append(Gate(kind, every))
+    elif kind == "ADDC":
+        gates.append(Gate(kind, every, width=n,
+                          const=int(rng.integers(1, 1 << n))))
+    elif kind == "REFLECT":
+        gates.append(Gate(kind, every, pattern=-1))
+    return gates
+
+
+def _at_each_block(monkeypatch, apply):
+    """``apply()`` with ``backend.BLOCK`` at 1, 8 and past any state."""
+    out = []
+    for block in (1, 8, 1 << 30):
+        monkeypatch.setattr(backend, "BLOCK", block)
+        out.append(apply())
+    return out
+
+
+def test_dense_kernels_do_not_depend_on_block_size(monkeypatch):
+    rng = np.random.default_rng(12)
+    for kind in KINDS:
+        for n in range(9, 13):
+            vec = _random_state(rng, n, 1 << n)
+            for g in _dense_gates(rng, kind, n):
+                got = _at_each_block(
+                    monkeypatch, lambda: simulate._apply(vec.copy(), g, n))
+                assert all(np.array_equal(x, got[0]) for x in got), (g, n)
+    # the kinds above have real or imaginary matrix entries, whose products
+    # round alike in any numpy loop; a complex unitary does not.  Also on a
+    # 0-d view: a target controlled by all the other qubits.
+    u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+    for n in range(9, 13):
+        vec = _random_state(rng, n, 1 << n)
+        t = _bit(n, int(rng.integers(n)))
+        for cmask in (0, (1 << n) - 1 - t):
+            got = _at_each_block(monkeypatch, lambda: backend.apply_1q_ctrl(
+                vec.copy(), u, t, cmask, cmask))
+            want = vec.copy()
+            _ref_1q(want, u, t, cmask, cmask)
+            assert all(np.array_equal(x, got[0]) for x in got), (n, cmask)
+            assert np.max(np.abs(got[0] - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["H", "ADDC", "SUB"])
+def test_dense_kernels_past_one_block(monkeypatch, kind):
+    # 17 qubits: eight blocks of the real BLOCK per state; SUB moves 12 or
+    # 56 of its 16 or 64 settings, so its blocks do not divide the run axes
+    n = 17
+    assert (1 << n) >= 8 * backend.BLOCK
+    rng = np.random.default_rng(17)
+    vec = _random_state(rng, n, 1 << n)
+    for g in (_random_gate(rng, kind, n) for _ in range(3)):
+        blocked = simulate._apply(vec.copy(), g, n)
+        monkeypatch.setattr(backend, "BLOCK", 1 << 30)
+        whole = simulate._apply(vec.copy(), g, n)
+        monkeypatch.undo()
+        want = vec.copy()
+        _ref_gate(want, g, n)
+        assert np.array_equal(blocked, whole), g
+        assert np.max(np.abs(blocked - want)) <= 1e-12, g
+
+
+@pytest.mark.parametrize("block", [8, None])
+def test_from_vector_switch_point(monkeypatch, block):
+    # the nonzeros sit last, so the count cannot stop before the end
+    if block:
+        monkeypatch.setattr(backend, "BLOCK", block)
+    n = 17
+    dim = 1 << n
+    max_support = dim >> simulate.DENSE_SHIFT
+    vec = np.zeros(dim, dtype=complex)
+    vec[dim - max_support:] = 1.0
+    sparse = backend.from_vector(vec, max_support)
+    assert isinstance(sparse, backend.Sparse)
+    assert np.array_equal(sparse.idx, np.arange(dim - max_support, dim))
+    vec[dim - max_support - 1] = 2.0
+    keep = vec.copy()
+    dense = backend.from_vector(vec, max_support)
+    assert isinstance(dense, np.ndarray) and dense is not vec
+    assert np.array_equal(dense, keep) and np.array_equal(vec, keep)
+
+
 def test_simulator_keeps_input_and_checks():
     circ = Circuit()
     circ.add_register("q", 3)
@@ -264,6 +352,19 @@ def test_simulator_keeps_input_and_checks():
     vec[5] = 1.0
     simulate_statevector(circ, vec)
     assert vec[5] == 1.0 and np.count_nonzero(vec) == 1
+    # a dense input is copied before the in-place dense kernels run
+    n = 16
+    wide = Circuit()
+    wide.add_register("q", n)
+    wide.add("H", (3,))
+    wide.add("X", (9,))
+    wide.add("ADDC", (2, 5, 6, 7, 12), width=5, const=11)
+    rng = np.random.default_rng(16)
+    vec = _random_state(rng, n, 1 << n)
+    keep = vec.copy()
+    got = simulate_statevector(wide, vec)
+    assert np.array_equal(vec, keep)
+    assert np.max(np.abs(got - _ref_simulate(wide, keep))) <= 1e-12
     assert simulate_statevector(circ, -1)[7] == pytest.approx(-1 / math.sqrt(2))
     with pytest.raises(IndexError):
         simulate_statevector(circ, 8)
