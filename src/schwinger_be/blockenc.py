@@ -245,8 +245,7 @@ def verify(params: ModelParams, eps: float,
         if n > SEMANTIC_LIMIT:
             raise OutOfRangeError(f"semantic verification limited to "
                                   f"N <= {SEMANTIC_LIMIT}")
-        budget = (ErrorBudget.default(eps, alpha) if eps > 0
-                  else ErrorBudget.exact())
+        budget = ErrorBudget.default(eps, alpha)  # exact() at eps = 0
         terms = build_hamiltonian(params)
         zs = z_signs(n)
         # the same sums to_dense puts on the two diagonals: every Z string

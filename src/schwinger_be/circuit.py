@@ -196,9 +196,6 @@ class Circuit:
         self._free.extend(reg.qubits)
         self._events.append(("release", name))
 
-    def qubits(self, name: str) -> tuple[int, ...]:
-        return self.registers[name].qubits
-
     # -- gates -------------------------------------------------------------
 
     def append(self, gate: Gate) -> None:

@@ -1,10 +1,15 @@
 """Closed-form T-count and qubit-count formulas, and end-to-end estimates.
 
 The formula layer mirrors the construction layer one-to-one: every
-subroutine builder has a cost function here, and the full block-encoding,
-time-evolution, and vacuum-persistence estimates compose them exactly the
-way the circuits compose.  Logs appear ceiled, matching the per-rotation
-cost that :func:`schwinger_be.circuit.count_resources` charges.
+subroutine builder has one cost expression here, and the full
+block-encoding, time-evolution, and vacuum-persistence estimates compose
+them exactly the way the circuits compose.  As a builder applies its
+control gate by gate through ``subroutines._control``, a controlled closed
+form is the uncontrolled one plus the control's increments: controlled
+UNIs, reflections one qubit wider, a second subtraction in place of a flag
+Toffoli, and phase rotations split in two.  Logs appear ceiled, matching
+the per-rotation cost that :func:`schwinger_be.circuit.count_resources`
+charges.
 
 All T counts are reals (the rotation-synthesis constant C is irrational);
 ``ResourceReport.t_count`` holds the ceiled integer and ``t_real`` the raw
@@ -85,49 +90,40 @@ def una_cost(s: int) -> float:
     return 4 * s - 4
 
 
+def _ps_cost(n: int, eps: float, controlled: bool, odd: bool) -> float:
+    """P_S1 (even) or P_S2 (odd): two UNIs, the complement swap and its
+    branch; the controlled form uncomputes the complement with a second
+    subtraction in place of the uncontrolled success Toffoli."""
+    m = n // 2 if odd else -(-n // 2)
+    b, c = clog2(m), int(controlled)
+    return (uni_cost(m, eps / 2, controlled)
+            + uni_cost(m if odd else m - 1, eps / 2, controlled)
+            + (1 + c) * sub_cost(b) + ineq_cost(b + 1)
+            + cswap_cost(b, controlled) + 4 * (1 - c))
+
+
 def ps1_cost(n: int, eps: float, controlled: bool = False) -> float:
-    np_ = -(-n // 2)
-    bp = clog2(np_)
-    if not controlled:
-        return (uni_cost(np_, eps / 2, False)
-                + uni_cost(np_ - 1, eps / 2, False)
-                + sub_cost(bp) + ineq_cost(bp + 1) + cswap_cost(bp) + 4)
-    return (uni_cost(np_, eps / 2, True)
-            + uni_cost(np_ - 1, eps / 2, True)
-            + 2 * sub_cost(bp) + ineq_cost(bp + 1) + cswap_cost(bp, True))
+    return _ps_cost(n, eps, controlled, odd=False)
 
 
 def ps2_cost(n: int, eps: float, controlled: bool = False) -> float:
-    npp = n // 2
-    bpp = clog2(npp)
-    if not controlled:
-        return (2 * uni_cost(npp, eps / 2, False)
-                + sub_cost(bpp) + ineq_cost(bpp + 1) + cswap_cost(bpp) + 4)
-    return (2 * uni_cost(npp, eps / 2, True)
-            + 2 * sub_cost(bpp) + ineq_cost(bpp + 1) + cswap_cost(bpp, True))
+    return _ps_cost(n, eps, controlled, odd=True)
 
 
 def ps3_prime_cost(n: int, eps: float, controlled: bool = False) -> float:
-    b = clog2(n)
-    if not controlled:
-        return 3 * uni_cost(n, eps / 3, False) + ineq_cost(b) + 4
-    # controlled variant: one UNI and the flag Toffoli become controlled;
-    # the aggregate chain prices the controlled Toffoli at its plain cost
-    # because its own controls are zeroed whenever the outer control is off.
-    return (uni_cost(n, eps / 3, True)
-            + 2 * uni_cost(n, eps / 3, False) + ineq_cost(b) + 4)
+    # controlled: one UNI and the flag Toffoli become controlled; the chain
+    # prices that Toffoli at its plain cost, as its own controls are zero
+    # whenever the outer control is off
+    return (uni_cost(n, eps / 3, controlled)
+            + 2 * uni_cost(n, eps / 3, False) + ineq_cost(clog2(n)) + 4)
 
 
 def ps3_cost(n: int, eps: float, controlled: bool = False) -> float:
-    b = clog2(n)
-    if not controlled:
-        return (3 * ps3_prime_cost(n, 6 * eps / 20, False)
-                + 2 * rotation_cost(eps / 20)
-                + reflection_cost(2 * b + 3) + 2 * reflection_cost(b + 3))
-    return (ps3_prime_cost(n, 6 * eps / 20, True)
+    b, c = clog2(n), int(controlled)
+    return (ps3_prime_cost(n, 6 * eps / 20, controlled)
             + 2 * ps3_prime_cost(n, 6 * eps / 20, False)
             + 2 * rotation_cost(eps / 20)
-            + reflection_cost(2 * b + 4) + 2 * reflection_cost(b + 4))
+            + reflection_cost(2 * b + 3 + c) + 2 * reflection_cost(b + 3 + c))
 
 
 def p1_cost(n: int, eps: float) -> float:
@@ -161,19 +157,14 @@ def amplification_rounds(delta: float) -> int:
 
 def p2_cost(n: int, eps: float, delta: float,
             controlled: bool = False) -> float:
-    b = clog2(n)
-    d = amplification_rounds(delta)
-    if controlled:
-        it = (d - 1) / 2 * (4 * rotation_cost(eps / (2 * d))
-                            + ineq_cost(b) + 8 * b + reflection_cost(b + 1))
-        base = (2 * rotation_cost(eps / (2 * d)) + 2 * ineq_cost(b)
-                + 8 * b + sub_cost(b) + una_cost(b) + 4)
-    else:
-        it = (d - 1) / 2 * (2 * rotation_cost(eps / d)
-                            + ineq_cost(b) + 8 * b + reflection_cost(b + 1))
-        base = (rotation_cost(eps / d) + 2 * ineq_cost(b)
-                + 4 * b + sub_cost(b) + una_cost(b))
-    return it + base
+    # controlled: each phase rotation is split in two at eps/(2d), the
+    # Hadamard layer doubly controlled and the success flag a Toffoli
+    b, d, k = clog2(n), amplification_rounds(delta), 1 + int(controlled)
+    rot = rotation_cost(eps / (k * d))
+    return ((d - 1) / 2 * (2 * k * rot + ineq_cost(b) + 8 * b
+                           + reflection_cost(b + 1))
+            + (k * rot + 2 * ineq_cost(b) + 4 * k * b + sub_cost(b)
+               + una_cost(b) + 4 * (k - 1)))
 
 
 def p2_ancillas(n: int) -> int:
@@ -203,9 +194,17 @@ def _check_system(n: int) -> None:
 
 
 def block_encoding_ancillas(n: int) -> int:
-    np_, npp = -(-n // 2), n // 2
-    return (6 * clog2(n)
-            + max(2 * clog2(np_) + clog2(np_ - 1), 3 * clog2(npp)) + 6)
+    return p2_ancillas(n) + p1_ancillas(n)[1] + 2
+
+
+def _encoding_report(t: float, n: int, system: int) -> ResourceReport:
+    """Report of T count ``t`` on ``system`` qubits plus the encoding's
+    ancillas, of which P1's junk and two more are unreusable."""
+    junk = p1_ancillas(n)[1] + 2
+    anc = p2_ancillas(n) + junk  # block_encoding_ancillas(n)
+    return ResourceReport(t_count=math.ceil(t), t_real=t,
+                          ancilla_reusable=anc - junk,
+                          ancilla_unreusable=junk, total_qubits=system + anc)
 
 
 def _priceable(eps: float, alpha: float) -> bool:
@@ -234,13 +233,7 @@ def block_encoding_cost(params: ModelParams, eps: float) -> ResourceReport:
          + select_cost("z", n, 2) + select_cost("z2", n, 3)
          + select_cost("z2", n, 4)
          + reflection_cost(b + 3))
-    anc = block_encoding_ancillas(n)
-    _, p1_junk = p1_ancillas(n)
-    return ResourceReport(
-        t_count=math.ceil(t), t_real=t,
-        ancilla_reusable=anc - (p1_junk + 2),
-        ancilla_unreusable=p1_junk + 2,
-        total_qubits=n + 2 * b + 3 + anc)
+    return _encoding_report(t, n, n + 2 * b + 3)
 
 
 def evolution_rounds(alpha: float, t: float, eps: float) -> int:
@@ -261,7 +254,6 @@ def evolution_cost(params: ModelParams, t: float,
     if not 0 < eps < 1:
         raise OutOfRangeError("eps must be in (0,1)")
     b = clog2(n)
-    anc = block_encoding_ancillas(n)
     if t == 0:
         return ResourceReport(0, 0.0, 0, 0, n + 2 * b + 5)
     alpha = normalization(params).alpha_s
@@ -278,12 +270,7 @@ def evolution_cost(params: ModelParams, t: float,
                + 3 * chs + 24 * lg + 40 * b + 6 * C_ROT + 120)
     if not math.isfinite(t_total):
         raise OutOfRangeError(f"t = {t:.6g} is out of the closed forms' range")
-    _, p1_junk = p1_ancillas(n)
-    return ResourceReport(
-        t_count=math.ceil(t_total), t_real=t_total,
-        ancilla_reusable=anc - (p1_junk + 2),
-        ancilla_unreusable=p1_junk + 2,
-        total_qubits=n + 2 * b + 5 + anc)
+    return _encoding_report(t_total, n, n + 2 * b + 5)
 
 
 #: Empirical average reflection-query total of the adaptive amplitude

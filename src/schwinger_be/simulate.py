@@ -335,12 +335,12 @@ def project_success(state: np.ndarray, circuit: Circuit,
     """
     n = circuit.n_qubits
     conds = circuit.metadata.get("success", []) if conditions is None else conditions
-    out = backend.from_vector(state, state.size >> DENSE_SHIFT)
+    out = np.array(state, dtype=complex)
     for _, q, val in conds:
         bit = _bit(n, q)
         # a zero phase removes the basis states whose qubit q is not val
-        out = backend.apply_phase_pattern(out, bit, 0 if val else bit, 0.0)
-    return backend.to_vector(out, state.size)
+        backend.apply_phase_pattern(out, bit, 0 if val else bit, 0.0)
+    return out
 
 
 def register_weights(state: np.ndarray, circuit: Circuit, reg: str) -> np.ndarray:

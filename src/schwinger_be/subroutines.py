@@ -234,7 +234,6 @@ def _load_const(circ: Circuit, reg, value: int, ctrl: int | None = None) -> None
 
 @dataclass
 class UniHandles:
-    reg: tuple[int, ...]
     conditions: list = field(default_factory=list)
     uc: int | None = None       # comparison-success qubit (reusable)
     flag: int | None = None     # rotated flag qubit (unreusable)
@@ -266,7 +265,7 @@ def _emit_uni(circ: Circuit, reg, m: int, eps: float, *,
     ft = factor_two(m)
     l = clog2(ft.r)
     g0 = len(circ.gates)
-    h = UniHandles(reg=tuple(reg))
+    h = UniHandles()
     if ft.r == 1 and short_circuit:
         for q in reg:
             circ.append(_control(Gate("H", (q,)), ctrl))
@@ -315,7 +314,6 @@ def _emit_uni(circ: Circuit, reg, m: int, eps: float, *,
         h.uc = None
         h.usucc = usucc
         h.conditions = [("bit", usucc, 1), ("bit", flag, 1)]
-        h.internal = (uc, flag)
     _load_const(circ, cmp, ft.r - 1, ctrl=ctrl)  # clear the constant
     if keep_alive:
         h.cmp_name = cmp_name

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import sys
 
@@ -227,3 +228,51 @@ def test_evolution_errors_are_finite_or_refused(n):
             assert math.isfinite(rep.t_real)
     with pytest.raises(est.OutOfRangeError):
         est.evolution_cost(benchmark_params(16), 1e-10, 1e-305)
+
+
+def _closed_form_grid():
+    """(name, value) of every closed form over a fixed grid: odd and even n,
+    both controls, several errors and amplification deltas, and the
+    end-to-end reports at system sizes the block encoding accepts."""
+    sizes = list(range(3, 40)) + [64, 127, 128, 256, 1024, 4096]
+    errors = (0.5, 1e-2, 3e-5, 1e-9, 7.3e-13)
+    for n in [1, 2] + sizes:
+        for eps in errors:
+            for c in (False, True):
+                yield f"uni({n},{eps},{c})", est.uni_cost(n, eps, c)
+    for n in sizes:
+        yield f"p1_ancillas({n})", est.p1_ancillas(n)
+        yield f"block_encoding_ancillas({n})", est.block_encoding_ancillas(n)
+        for eps in errors:
+            yield f"p1({n},{eps})", est.p1_cost(n, eps)
+            for c in (False, True):
+                yield f"ps1({n},{eps},{c})", est.ps1_cost(n, eps, c)
+                yield f"ps2({n},{eps},{c})", est.ps2_cost(n, eps, c)
+                yield f"ps3'({n},{eps},{c})", est.ps3_prime_cost(n, eps, c)
+                yield f"ps3({n},{eps},{c})", est.ps3_cost(n, eps, c)
+                for delta in (0.9, 0.05, 1e-2, 1e-7):
+                    yield (f"p2({n},{eps},{delta},{c})",
+                           est.p2_cost(n, eps, delta, c))
+        for kind, controls in sorted(est.SELECT_COSTS):
+            yield (f"select({kind},{n},{controls})",
+                   est.select_cost(kind, n, controls))
+    for n in (8, 10, 16, 64, 128):
+        p = benchmark_params(n)
+        for eps in (1.0, 1e-2, 1e-6):
+            yield f"block({n},{eps})", est.block_encoding_cost(p, eps)
+        for t in (0.0, 0.4, 25.0):
+            yield f"evolution({n},{t})", est.evolution_cost(p, t, 0.005)
+            yield f"vpa({n},{t})", est.vpa_cost(p, t)
+
+
+#: sha256 of the grid's reprs; any change to a closed form's value, down to
+#: the last bit of a float, changes it
+CLOSED_FORM_DIGEST = (
+    "1e3ec3b92396f84e1c122651d70ffeb941b11a9193f56a8649bdaae065f3392b")
+
+
+def test_closed_form_digest():
+    h = hashlib.sha256()
+    for name, value in _closed_form_grid():
+        h.update(f"{name} = {value!r}\n".encode())
+    assert h.hexdigest() == CLOSED_FORM_DIGEST
