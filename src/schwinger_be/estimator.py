@@ -365,11 +365,16 @@ def physical_qubits(t_count: float, n_logical: int,
     m_gates = 100.0 * t_count
     if not math.isfinite(m_gates):  # 1/M = 0: no distance would do
         raise OutOfRangeError(f"T count {t_count:.6g} is too large to price")
-    d = 1
-    while 0.1 * (100 * p_phys) ** ((d + 1) / 2) >= 1.0 / m_gates:
+
+    def too_short(d):
+        return 0.1 * (100 * p_phys) ** ((d + 1) / 2) >= 1.0 / m_gates
+    # (d+1)/2 > ln(10/M) / ln(100 p); the steps mend the logs' rounding
+    k = math.log(10.0 / m_gates) / math.log(100 * p_phys)
+    d = 2 * math.ceil(max(k, 1)) - 1
+    while d > 1 and not too_short(d - 2):
+        d -= 2
+    while too_short(d):
         d += 2
-        if d > 10_000:
-            raise RuntimeError("code distance search did not converge")
     return PhysicalEstimate(
         p_phys=p_phys, code_distance=d, logical_qubits=n_logical,
         physical_qubits=4 * n_logical * 2 * d * d)

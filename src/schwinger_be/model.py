@@ -13,9 +13,10 @@ C(N, N/2) basis states.  The observables work there alone: one cached real
 eigendecomposition of that block gives the evolved vacuum exp(-iHt)|vac>,
 from which both the vacuum persistence amplitude G(t) = <vac|exp(-iHt)|vac>
 and the particle production density are read, up to N = SECTOR_LIMIT.
-``to_dense`` and ``exact_evolution`` stay full-space (2^N, up to
-DENSE_LIMIT): the first feeds the block-encoding checks, the second is the
-tests' reference.
+Every matrix of H, the full 2^N one of ``to_dense`` (up to DENSE_LIMIT) and
+the sector block, comes from one builder, and both refuse terms that do not
+conserve the charge: an XX string without a YY twin on the same two sites
+with the same coefficient, or a string off the diagonal.
 """
 from __future__ import annotations
 
@@ -199,39 +200,14 @@ def normalization(params: ModelParams) -> NormalizationConstants:
                                   alpha_s2=s2, alpha_s3=s3)
 
 
-def _add_string(h: np.ndarray, n: int, ps: PauliString) -> None:
-    dim = 1 << n
-    idx = np.arange(dim)
-    img = idx.copy()
-    phase = np.ones(dim, dtype=complex)
-    for site, letter in enumerate(ps.letters):
-        if letter == "I":
-            continue
-        bitpos = 1 << (n - 1 - site)
-        bit = (idx & bitpos) != 0
-        if letter == "X":
-            img ^= bitpos
-        elif letter == "Y":
-            img ^= bitpos
-            phase = phase * np.where(bit, -1j, 1j)
-        else:  # Z
-            phase = phase * np.where(bit, -1.0, 1.0)
-    h[img, idx] += ps.coefficient * phase
-
-
 def to_dense(terms: HamiltonianTerms,
              include_shift: bool = False) -> DenseOperator:
-    """The full 2^N matrix: XX and YY strings off the diagonal, the Z
-    strings' sum (plus the shift, if asked) on it."""
+    """The full 2^N matrix: the Z strings' sum (plus the shift, if asked)
+    on the diagonal, the hopping off it."""
     n = terms.n_sites
     _check_limit(n, DENSE_LIMIT, "dense")
-    h = np.zeros((1 << n, 1 << n), dtype=complex)
-    for ps in terms.xx + terms.yy:
-        _add_string(h, n, ps)
-    diag = z_diagonal(terms.diagonal, z_signs(n))
-    np.fill_diagonal(h, diag + terms.constant_shift if include_shift
-                     else diag)
-    return DenseOperator(n, h)
+    return DenseOperator(n, _hamiltonian(terms, np.arange(1 << n), z_signs(n),
+                                         include_shift, complex))
 
 
 def exact_evolution(params: ModelParams, t: float) -> DenseOperator:
@@ -306,21 +282,33 @@ def _sector_basis(n_sites: int):
     return basis, int(np.searchsorted(basis, vacuum_index(n_sites))), zs
 
 
+def _hamiltonian(terms: HamiltonianTerms, basis: np.ndarray, zs: np.ndarray,
+                 include_shift: bool, dtype) -> np.ndarray:
+    """H on a sorted basis that the hopping maps to itself, with Z signs
+    ``zs``.  On charge-conserving terms, XX and YY on sites (i, k) each add
+    their coefficient where the two sites read 01 or 10."""
+    _check_charge(terms)
+    n = terms.n_sites
+    h = np.zeros((basis.size, basis.size), dtype=dtype)
+    diag = z_diagonal(terms.diagonal, zs)
+    np.fill_diagonal(h, diag + terms.constant_shift if include_shift
+                     else diag)
+    for ps in terms.xx + terms.yy:
+        i, k = (s for s, c in enumerate(ps.letters) if c != "I")
+        rows = np.flatnonzero(zs[i] != zs[k])
+        flip = (1 << (n - 1 - i)) | (1 << (n - 1 - k))
+        h[rows, np.searchsorted(basis, basis[rows] ^ flip)] += ps.coefficient
+    return h
+
+
 def sector_hamiltonian(terms: HamiltonianTerms) -> tuple[np.ndarray,
                                                          np.ndarray]:
     """The half-filled block of H (shift included): its sorted basis indices,
     those with N/2 of the N bits set, and the real symmetric matrix on them."""
     n = terms.n_sites
     _check_limit(n, SECTOR_LIMIT, "sector")  # before any 2^N allocation
-    _check_charge(terms)
     basis, _, zs = _sector_basis(n)
-    h = np.diag(z_diagonal(terms.diagonal, zs) + terms.constant_shift)
-    for ps in terms.xx + terms.yy:  # each adds its coefficient on 01 <-> 10
-        i, k = (s for s, c in enumerate(ps.letters) if c != "I")
-        rows = np.flatnonzero(zs[i] != zs[k])
-        flip = (1 << (n - 1 - i)) | (1 << (n - 1 - k))
-        h[rows, np.searchsorted(basis, basis[rows] ^ flip)] += ps.coefficient
-    return basis, h
+    return basis, _hamiltonian(terms, basis, zs, True, float)
 
 
 @lru_cache(maxsize=1)  # an entry pins C(N, N/2)^2 floats, 94 MB at N=14

@@ -83,6 +83,18 @@ def test_small_grid_statistics():
         assert 1000 <= t <= 4000
 
 
+@pytest.mark.parametrize("omega", [1e-4, 1e-3, 1e-2, 0.05])
+def test_coverage_at_table3_amplitudes(omega):
+    # |G(t)| at Table 3's cells lies far below the [0.05, 0.95] grid; the
+    # runs there must keep the coverage and the query budget
+    eps, delta, n = 0.005, 0.05, 400
+    runs = [ae.simulate_adaptive_ae(omega, eps, delta, 52_000 + r)
+            for r in range(n)]
+    fails = sum(not r.succeeded for r in runs)
+    assert fails / n <= delta + 3 * math.sqrt(delta * (1 - delta) / n)
+    assert 1000 <= np.mean([r.total_queries for r in runs]) <= 4000
+
+
 def test_chebae_formula_upper_bounds_typical_runs():
     # the worst-case closed form should dominate typical adaptive totals;
     # a violation is reported softly (schedule review), not asserted hard

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 import sys
 
 import pytest
@@ -154,6 +155,39 @@ def test_physical_qubits_rejects_threshold():
         est.physical_qubits(1e12, 100, 0.01)
     with pytest.raises(ValueError):
         est.physical_qubits(1e12, 100, 0.02)
+
+
+def _distance_by_search(t_count, p_phys):
+    """The smallest odd distance, found by trying d = 1, 3, 5, ..."""
+    d = 1
+    while 0.1 * (100 * p_phys) ** ((d + 1) / 2) >= 1.0 / (100.0 * t_count):
+        d += 2
+    return d
+
+
+def test_physical_qubits_distance_matches_search():
+    # powers of ten put (d+1)/2 = ln(10/M)/ln(100 p) on an integer, where
+    # the logarithms' rounding decides; the random points cover the rest
+    grid = [(10.0 ** j, 10.0 ** -k) for j in range(0, 301, 3)
+            for k in range(3, 10)]
+    rng = random.Random(5)
+    grid += [(10 ** rng.uniform(0, 300), 10 ** rng.uniform(-12, -2.005))
+             for _ in range(300)]
+    for t, p in grid:
+        assert (est.physical_qubits(t, 10, p).code_distance
+                == _distance_by_search(t, p)), (t, p)
+
+
+def test_physical_qubits_near_threshold():
+    # p just below 1%: the distance runs to millions (the search above,
+    # run to the end, gives the same 6143631)
+    p = benchmark_params(64)
+    t = est.vpa_cost(p, 10.0 / p.w).t_real
+    d = est.physical_qubits(t, est.logical_qubits(64), 0.0099999).code_distance
+    assert d == 6_143_631
+    for dd, ok in ((d, True), (d - 2, False)):
+        assert (0.1 * (100 * 0.0099999) ** ((dd + 1) / 2)
+                < 1 / (100 * t)) == ok
 
 
 def test_logical_qubit_interpretation():

@@ -8,6 +8,26 @@ import pytest
 from schwinger_be import model as M
 
 
+def _add_string(h: np.ndarray, n: int, ps: M.PauliString) -> None:
+    dim = 1 << n
+    idx = np.arange(dim)
+    img = idx.copy()
+    phase = np.ones(dim, dtype=complex)
+    for site, letter in enumerate(ps.letters):
+        if letter == "I":
+            continue
+        bitpos = 1 << (n - 1 - site)
+        bit = (idx & bitpos) != 0
+        if letter == "X":
+            img ^= bitpos
+        elif letter == "Y":
+            img ^= bitpos
+            phase = phase * np.where(bit, -1j, 1j)
+        else:  # Z
+            phase = phase * np.where(bit, -1.0, 1.0)
+    h[img, idx] += ps.coefficient * phase
+
+
 def eq13_dense(p):
     """Independent oracle: the qubit Hamiltonian built directly from its
     defining sum (cumulative-charge square + hopping + staggered mass)."""
@@ -24,10 +44,10 @@ def eq13_dense(p):
     h += np.diag(diag)
     for i in range(n - 1):
         for pauli in ("X", "Y"):
-            M._add_string(h, n, M.PauliString(p.w / 2, "".join(
+            _add_string(h, n, M.PauliString(p.w / 2, "".join(
                 pauli if k in (i, i + 1) else "I" for k in range(n))))
     for i in range(n):
-        M._add_string(h, n, M.PauliString(p.mass / 2 * (-1) ** i, "".join(
+        _add_string(h, n, M.PauliString(p.mass / 2 * (-1) ** i, "".join(
             "Z" if k == i else "I" for k in range(n))))
     return h
 
@@ -110,7 +130,7 @@ def test_hermiticity_of_groups():
     for group in (t.xx, t.yy, t.z, t.z_even, t.z_odd, t.z_squared):
         h = np.zeros((64, 64), dtype=complex)
         for ps in group:
-            M._add_string(h, 6, ps)
+            _add_string(h, 6, ps)
         assert np.allclose(h, h.conj().T)
 
 
@@ -270,7 +290,7 @@ def test_to_dense_is_the_sum_of_every_string(n):
                                               theta=0.7))
     h = np.zeros((1 << n, 1 << n), dtype=complex)
     for ps in terms.all_strings:
-        M._add_string(h, n, ps)
+        _add_string(h, n, ps)
     assert np.array_equal(M.to_dense(terms).matrix, h)
     h += terms.constant_shift * np.eye(1 << n)
     assert np.array_equal(M.to_dense(terms, include_shift=True).matrix, h)
@@ -306,5 +326,7 @@ def test_charge_check_refuses_unpaired_hopping():
     offdiagonal = replace(terms, z=(M.PauliString(0.1, "XIIIII"),))
     with pytest.raises(ValueError, match="conserve the charge"):
         M.sector_hamiltonian(offdiagonal)
-    with pytest.raises(ValueError, match="not an I/Z string"):
+    with pytest.raises(ValueError, match="conserve the charge"):
+        M.to_dense(broken)
+    with pytest.raises(ValueError, match="conserve the charge"):
         M.to_dense(offdiagonal)

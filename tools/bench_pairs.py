@@ -14,7 +14,11 @@ BENCHMARK.json the file records both sides' runs, medians and
 quartiles (``statistics.quantiles(method='inclusive')``) and the number of
 pairs the change wins. The claimed workload is written under its own name,
 the others under ``other_workloads``; every workload runs ``--pairs``
-pairs, at least ten.
+pairs, at least ten. After its pairs, each workload runs once more per
+side with ``--trace 1 --seed 1``, which replays every gate through the
+simulator one at a time, and the file records whether that run was
+correct. The exit status is 1, after the file is written, if any run,
+traced or not, was incorrect.
 """
 from __future__ import annotations
 
@@ -30,11 +34,13 @@ from pathlib import Path
 SIDES = ("parent", "change")
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds: int,
+             trace: int = 0) -> dict:
     """The summary line of one perfbench run in ``tree``."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds)],
+         "--seed", str(seed), "--seconds", str(seconds),
+         "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"perfbench failed in {tree} ({workload}, seed "
@@ -72,10 +78,16 @@ def run_pairs(trees: dict, workload: str, pairs: int, seconds: int,
         metrics[m["name"]] = {"unit": m["unit"], "better": m["better"],
                               **{side: stats(runs[side]) for side in SIDES},
                               "change_wins_pairs": wins, "runs": runs}
+    traced = {}
+    for side in SIDES:
+        print(f"{workload} traced: {side}", file=sys.stderr)
+        traced[side] = run_once(trees[side], workload, 1, seconds,
+                                trace=1)["correct"]
     return {
         "pairs": pairs, "seeds": list(range(1, pairs + 1)),
         "correct": all(r["correct"] for side in SIDES
                        for r in results[side]),
+        "traced_correct": traced,
         "failed_operations": {side: sum(r["failed"] for r in results[side])
                               for side in SIDES},
         "attempted_operations": {side: sum(r["attempted"]
@@ -130,7 +142,12 @@ def main(argv=None) -> int:
     path = trees["change"] / f"BENCH_{args.name}.json"
     path.write_text(json.dumps(out, indent=2) + "\n")
     print(f"wrote {path}", file=sys.stderr)
-    return 0
+    workloads = [out[args.workload], *out.get("other_workloads", {}).values()]
+    if all(w["correct"] and all(w["traced_correct"].values())
+           for w in workloads):
+        return 0
+    print("an incorrect run: see correct and traced_correct", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":
