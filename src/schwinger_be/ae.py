@@ -10,9 +10,22 @@ reflection per iteration plus one per shot for preparation/measurement.
 Two closed forms accompany the simulator: the Hoeffding baseline for
 depth-0 sampling, and the worst-case query count of the Chebyshev scheme,
 ceil((5.874534/eps) ln(2.08 ln(2/eps))).
+
+The interval of a round is a pure function of the integers (ones, shots)
+and of alpha, and those keys repeat: the runs at one (eps, delta) share
+alpha, and every run starts from the same few counts.  ``_clopper_pearson``
+is therefore memoized on (ones, n, alpha) in a least-recently-used cache of
+at most ``INTERVAL_CACHE_SIZE`` entries.  The key is all the function
+reads, so a hit returns the very floats that its two ``betaincinv`` calls
+gave for that key: runs, estimates and artifacts are bit for bit those of
+the uncached function, in any order of runs.  The default
+``schwinger-be ae`` grid (900 runs, seed 0) asks for 21,400 intervals with
+1,206 distinct keys, and ``ae --runs 1000`` needs 1,619 entries; the bound
+keeps a long-lived process from growing the cache without limit.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -67,6 +80,12 @@ class AERunStats:
         return self.q_psi + self.q_pi
 
 
+#: entries of the Clopper-Pearson memo; each, a 3-tuple key and a pair of
+#: floats, takes about 250 bytes
+INTERVAL_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=INTERVAL_CACHE_SIZE)
 def _clopper_pearson(ones: int, n: int, alpha: float) -> tuple[float, float]:
     lo = 0.0 if ones == 0 else float(betaincinv(ones, n - ones + 1, alpha / 2))
     hi = 1.0 if ones == n else float(betaincinv(ones + 1, n - ones,

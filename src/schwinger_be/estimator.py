@@ -362,6 +362,8 @@ def physical_qubits(t_count: float, n_logical: int,
     if not 0 < p_phys < 0.01:
         raise OutOfRangeError("p_phys must be in (0, 0.01): the logical "
                               "error rate no longer falls with distance")
+    if not t_count > 0:  # also NaN; ln(10/M) needs M > 0
+        raise OutOfRangeError(f"T count must be > 0, got {t_count:.6g}")
     m_gates = 100.0 * t_count
     if not math.isfinite(m_gates):  # 1/M = 0: no distance would do
         raise OutOfRangeError(f"T count {t_count:.6g} is too large to price")

@@ -157,6 +157,15 @@ def test_physical_qubits_rejects_threshold():
         est.physical_qubits(1e12, 100, 0.02)
 
 
+@pytest.mark.parametrize("t_count", [0.0, -5.0, math.nan])
+def test_physical_qubits_rejects_nonpositive_t_count(t_count):
+    # refused before ln(10/M), which 0 would divide by zero and -5 would
+    # take of a negative number; NaN falls under the same rule, not under
+    # "too large to price"
+    with pytest.raises(est.OutOfRangeError, match="must be > 0"):
+        est.physical_qubits(t_count, 10, 1e-3)
+
+
 def _distance_by_search(t_count, p_phys):
     """The smallest odd distance, found by trying d = 1, 3, 5, ..."""
     d = 1

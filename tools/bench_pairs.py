@@ -17,7 +17,12 @@ the others under ``other_workloads``; every workload runs ``--pairs``
 pairs, at least ten. After its pairs, each workload runs once more per
 side with ``--trace 1 --seed 1``, which replays every gate through the
 simulator one at a time, and the file records whether that run was
-correct. The exit status is 1, after the file is written, if any run,
+correct. Every incorrect run, traced or not, is listed under its workload's
+``incorrect_runs`` with its side, seed and trace flag, each distinct
+``check failed:`` line of its standard error with the number of times it
+was printed, and the last 20 lines of that standard error, which hold the
+worker's other messages (such as the traced self-time check) and any
+traceback. The exit status is 1, after the file is written, if any run,
 traced or not, was incorrect.
 """
 from __future__ import annotations
@@ -29,14 +34,17 @@ import platform
 import statistics
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 SIDES = ("parent", "change")
+STDERR_TAIL = 20
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: int,
              trace: int = 0) -> dict:
-    """The summary line of one perfbench run in ``tree``."""
+    """The summary line of one perfbench run in ``tree``; an incorrect
+    run's summary also carries what its standard error says about it."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds),
@@ -45,7 +53,18 @@ def run_once(tree: Path, workload: str, seed: int, seconds: int,
     if proc.returncode != 0:
         raise SystemExit(f"perfbench failed in {tree} ({workload}, seed "
                          f"{seed}):\n{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    summary = json.loads(proc.stdout.strip().splitlines()[-1])
+    if not summary["correct"]:
+        lines = proc.stderr.splitlines()
+        summary["stderr"] = {
+            "check_failed": dict(Counter(
+                line for line in lines if line.startswith("check failed:"))),
+            "tail": lines[-STDERR_TAIL:]}
+    return summary
+
+
+def incorrect(side: str, seed: int, trace: int, run: dict) -> dict:
+    return {"side": side, "seed": seed, "trace": trace, **run["stderr"]}
 
 
 def stats(values: list) -> dict:
@@ -62,12 +81,15 @@ def stats(values: list) -> dict:
 def run_pairs(trees: dict, workload: str, pairs: int, seconds: int,
               spec: list) -> dict:
     results = {side: [] for side in SIDES}
+    bad = []
     for seed in range(1, pairs + 1):
         order = SIDES if seed % 2 else SIDES[::-1]
         for side in order:
             print(f"{workload} pair {seed}/{pairs}: {side}", file=sys.stderr)
-            results[side].append(run_once(trees[side], workload, seed,
-                                          seconds))
+            run = run_once(trees[side], workload, seed, seconds)
+            results[side].append(run)
+            if not run["correct"]:
+                bad.append(incorrect(side, seed, 0, run))
     metrics = {}
     for m in spec:
         runs = {side: [round(r["metrics"][m["name"]]["value"], 6)
@@ -81,13 +103,16 @@ def run_pairs(trees: dict, workload: str, pairs: int, seconds: int,
     traced = {}
     for side in SIDES:
         print(f"{workload} traced: {side}", file=sys.stderr)
-        traced[side] = run_once(trees[side], workload, 1, seconds,
-                                trace=1)["correct"]
+        run = run_once(trees[side], workload, 1, seconds, trace=1)
+        traced[side] = run["correct"]
+        if not run["correct"]:
+            bad.append(incorrect(side, 1, 1, run))
     return {
         "pairs": pairs, "seeds": list(range(1, pairs + 1)),
         "correct": all(r["correct"] for side in SIDES
                        for r in results[side]),
         "traced_correct": traced,
+        "incorrect_runs": bad,
         "failed_operations": {side: sum(r["failed"] for r in results[side])
                               for side in SIDES},
         "attempted_operations": {side: sum(r["attempted"]
