@@ -111,8 +111,6 @@ def assemble(params: ModelParams, eps: float
     spec = BlockEncodingSpec(alpha=alpha, ancilla_width=2 * b + 3, epsilon=eps)
     tally = count_resources(circ)
     rep = replace(formula, t_count=tally.t_count, t_real=tally.t_real)
-    circ.metadata["spec"] = spec
-    circ.metadata["budget"] = ErrorBudget.default(eps, alpha)
     return circ, spec, rep
 
 
@@ -314,7 +312,6 @@ def fragment_circuit(params: ModelParams) -> tuple[Circuit, float]:
     for h in (u_hop, u_mass):
         if h.cmp_name is not None:
             circ.release(h.cmp_name)
-    circ.metadata["system"] = "system"
     return circ, alpha
 
 

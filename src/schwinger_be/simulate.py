@@ -7,13 +7,15 @@ never touches amplitudes.
 
 The statevector simulator keeps a state in one of two forms (see
 ``backend``): sparse, as its support (the sorted indices of its nonzero
-amplitudes, and those amplitudes), or dense, as all 2^n amplitudes.  It
-starts sparse unless the input vector is already past the switch point,
-and turns dense for the rest of the circuit once the support holds more
-than ``2^n >> DENSE_SHIFT`` amplitudes; either way it returns the dense
-vector.  The switch point comes from the cost of the general one-qubit
-gate, the dearest kernel in sparse form: it sorts and merges the pairs at
-about 50 to 170 ns per support entry (2^12 to 2^17 entries of a 20-qubit
+amplitudes, and those amplitudes), or dense, as all 2^n amplitudes.  A
+basis-index input starts sparse and turns dense for the rest of the
+circuit once the support holds more than ``2^n >> DENSE_SHIFT``
+amplitudes; a vector input is copied and simulated dense throughout.
+Either way it returns the dense vector.
+
+The switch point comes from the cost of the general one-qubit gate, the
+dearest kernel in sparse form: it sorts and merges the pairs at about 50
+to 170 ns per support entry (2^12 to 2^17 entries of a 20-qubit
 state), where the cache-blocked dense kernel takes about 7 ns per amplitude
 on average over the target qubit: 3 ns for index bits 2^12 and up, 4 to
 20 ns for the bits below, whose short rows numpy walks one by one (one core
@@ -231,9 +233,10 @@ def simulate_statevector(circuit: Circuit, input_state=None,
                          limit: int = SIMULATION_LIMIT) -> np.ndarray:
     """Exact amplitudes of ``circuit`` applied to a basis state or vector.
 
-    The state is simulated sparse while its support holds at most
-    ``2^n >> DENSE_SHIFT`` amplitudes and dense from then on; the result is
-    the dense vector either way.
+    A basis index (the default is 0) is simulated sparse while its support
+    holds at most ``2^n >> DENSE_SHIFT`` amplitudes and dense from then on.
+    A vector is copied, so the caller's array is left as it was, and
+    simulated dense.  The result is the dense vector either way.
     """
     n = circuit.n_qubits
     if n > limit:
@@ -245,10 +248,10 @@ def simulate_statevector(circuit: Circuit, input_state=None,
         state = backend.Sparse(np.array([start], dtype=np.int64),
                                np.ones(1, dtype=complex))
     else:
-        vec = np.asarray(input_state, dtype=complex)
-        if vec.shape != (dim,):
+        # a copy: the dense kernels work in place
+        state = np.array(input_state, dtype=complex)
+        if state.shape != (dim,):
             raise ValueError("input state has wrong dimension")
-        state = backend.from_vector(vec, max_support)
     for g in circuit.gates:
         state = _apply(state, g, n)
         if isinstance(state, backend.Sparse) and state.idx.size > max_support:
@@ -264,9 +267,6 @@ class PermutationVerdict:
     ok: bool
     checked: int
     failures: list = field(default_factory=list)
-
-    def __bool__(self) -> bool:
-        return self.ok
 
 
 def circuit_index_map(circuit: Circuit, idx: np.ndarray) -> np.ndarray:
@@ -294,8 +294,9 @@ def check_basis_permutation(circuit: Circuit,
     """Confirm the circuit equals ``reference`` on computational basis states.
 
     ``reference`` maps a dict of register values to a dict of expected
-    register values (registers it omits must be unchanged is not enforced;
-    only returned registers are compared).  Exhaustive up to
+    register values; the registers left out of its last result (a reference
+    returns the same registers at every input) must keep their values.  A
+    failure is ``(inputs, register, expected, got)``.  Exhaustive up to
     ``EXHAUSTIVE_LIMIT`` qubits, sampled above.
     """
     n = circuit.n_qubits
@@ -307,18 +308,27 @@ def check_basis_permutation(circuit: Circuit,
                            dtype=np.int64)
     out = circuit_index_map(circuit, idx)
     regs = {name: r.qubits for name, r in circuit.registers.items()}
-    # register values as Python ints, converted once; inputs zipped by row
-    ins = zip(*[reg_values(idx, n, qs).tolist() for qs in regs.values()])
+    # register values as Python ints, converted once
+    ins = [reg_values(idx, n, qs).tolist() for qs in regs.values()]
     outs = {name: reg_values(out, n, qs).tolist() for name, qs in regs.items()}
     failures = []
-    for i, row in enumerate(ins):
+    for i, row in enumerate(zip(*ins)):
         vin = dict(zip(regs, row))
-        for name, want in reference(vin).items():
+        result = reference(vin)
+        for name, want in result.items():
             got = outs[name][i]
             if got != want:
                 failures.append((vin, name, want, got))
                 if len(failures) >= MAX_FAILURES:
                     return PermutationVerdict(False, idx.shape[0], failures)
+    # the registers left out, in one pass over the bits the circuit moved
+    left_out = [name for name in regs if name not in result]
+    moved = (out ^ idx) & _mask(n, [q for r in left_out for q in regs[r]])
+    for i in np.flatnonzero(moved)[:MAX_FAILURES - len(failures)].tolist():
+        vin = dict(zip(regs, (vals[i] for vals in ins)))
+        failures.extend((vin, name, vin[name], outs[name][i])
+                        for name in left_out if outs[name][i] != vin[name])
+    del failures[MAX_FAILURES:]
     return PermutationVerdict(not failures, idx.shape[0], failures)
 
 
@@ -329,17 +339,25 @@ def project_success(state: np.ndarray, circuit: Circuit,
                     conditions=None) -> np.ndarray:
     """Apply the circuit's success projection; returns an unnormalized state.
 
-    Conditions are ``("bit", qubit, value)``: the state keeps only the basis
-    states whose ``qubit`` reads ``value``.  ``conditions`` replaces the
-    circuit's ``metadata["success"]`` list when given.
+    Conditions are ``(qubit, value)`` pairs: the state keeps only the basis
+    states whose ``qubit`` reads ``value`` for every pair, so a qubit asked
+    to read both 0 and 1 leaves the zero vector.  ``conditions`` replaces
+    the circuit's ``metadata["success"]`` list when given.  Only the kept
+    nonzero amplitudes are written into a fresh zero vector.
     """
     n = circuit.n_qubits
     conds = circuit.metadata.get("success", []) if conditions is None else conditions
-    out = np.array(state, dtype=complex)
-    for _, q, val in conds:
-        bit = _bit(n, q)
-        # a zero phase removes the basis states whose qubit q is not val
-        backend.apply_phase_pattern(out, bit, 0 if val else bit, 0.0)
+    ones = _mask(n, [q for q, val in conds if val])
+    zeros = _mask(n, [q for q, val in conds if not val])
+    vec = np.asarray(state, dtype=complex)
+    out = np.zeros(vec.shape, dtype=complex)
+    if not ones & zeros:
+        src, at = backend._split(vec, ones | zeros)
+        dst, _ = backend._split(out, ones | zeros)
+        # nonzeros only: pages of ``out`` left all zero never become resident
+        kept = src[at(ones)]
+        nz = np.nonzero(kept)
+        dst[at(ones)][nz] = kept[nz]
     return out
 
 

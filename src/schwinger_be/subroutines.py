@@ -10,7 +10,7 @@ Hadamards; pass ``short_circuit=False`` to force the general construction.
 Shared conventions:
 
 * Success flags are exported as ``circuit.metadata["success"]``, a list of
-  ``("bit", qubit, value)`` conditions; projecting a simulated state on them
+  ``(qubit, value)`` conditions; projecting a simulated state on them
   yields the advertised output.
 * The flag rotation completing each exact amplification round is folded
   into measurement by the source cost accounting; it is emitted with
@@ -49,9 +49,7 @@ def _name(circ: "Circuit", tag: str) -> str:
 
 
 def _report(circ: Circuit) -> tuple[Circuit, ResourceReport]:
-    rep = count_resources(circ)
-    circ.metadata["report"] = rep
-    return circ, rep
+    return circ, count_resources(circ)
 
 
 class JunkPool:
@@ -302,7 +300,7 @@ def _emit_uni(circ: Circuit, reg, m: int, eps: float, *,
     # flag success
     _ineq(circ, top, cmp, uc, l)
     h.uc, h.flag = uc, flag
-    h.conditions = [("bit", uc, 1), ("bit", flag, 1)]
+    h.conditions = [(uc, 1), (flag, 1)]
     h.internal = (uc, flag)
     if ctrl is not None:
         if junk is None:
@@ -313,7 +311,7 @@ def _emit_uni(circ: Circuit, reg, m: int, eps: float, *,
         _ineq(circ, top, cmp, uc, l, inverse=True)
         h.uc = None
         h.usucc = usucc
-        h.conditions = [("bit", usucc, 1), ("bit", flag, 1)]
+        h.conditions = [(usucc, 1), (flag, 1)]
     _load_const(circ, cmp, ft.r - 1, ctrl=ctrl)  # clear the constant
     if keep_alive:
         h.cmp_name = cmp_name
@@ -410,8 +408,7 @@ def _emit_ps_even_odd(circ: Circuit, out, n: int, eps: float, *,
     if ctrl is None and u1.uc is not None and u2.uc is not None:
         both = _take_junk(circ, junk, 1, "psboth")[0]
         circ.add("TOFFOLI", (u1.uc, u2.uc, both))
-        conditions = [("bit", both, 1),
-                      ("bit", u1.flag, 1), ("bit", u2.flag, 1)]
+        conditions = [(both, 1), (u1.flag, 1), (u2.flag, 1)]
     if odd:
         circ.append(_control(Gate("X", (parity,)), ctrl))
 
@@ -560,7 +557,7 @@ def _emit_ps3(circ: Circuit, out, n: int, eps: float, *,
     if one_name is not None:
         circ.append(_control(Gate("X", (one,)), ctrl))
         circ.release(one_name)
-    return [("bit", flag, 1)]
+    return [(flag, 1)]
 
 
 def p_s3(n: int, eps: float, controlled: bool = False,
@@ -580,7 +577,6 @@ def p_s3(n: int, eps: float, controlled: bool = False,
                       short_circuit=short_circuit)
     circ.metadata["success"] = conds
     circ.metadata["output"] = "out"
-    circ.metadata["pre_amplification_amplitude"] = ps3_amplitude(n)
     return _report(circ)
 
 
@@ -704,7 +700,7 @@ def p2(n: int, eps: float, delta: float, controlled: bool = False
     circ.release("m")
     circ.release("z")
     circ.release("t")
-    circ.metadata["success"] = [("bit", succ, 1)]
+    circ.metadata["success"] = [(succ, 1)]
     circ.metadata["output"] = "out"
     circ.metadata["rounds"] = d
     return _report(circ)
@@ -849,6 +845,5 @@ def p1(params: ModelParams, eps: float, short_circuit: bool = True
     # deterministically; per-branch flags live in the shared junk
     circ.metadata["success"] = []
     circ.metadata["output"] = "out"
-    circ.metadata["label_register"] = "label"
     circ.metadata["weights"] = wts
     return _report(circ)

@@ -175,13 +175,31 @@ def test_kernels_match_reference_in_both_forms():
             vec = _random_state(rng, n, int(rng.integers(1, 1 << (n - 2))))
             want = vec.copy()
             _ref_gate(want, g, n)
-            sparse = simulate._apply(backend.from_vector(vec, 1 << n), g, n)
+            nz = np.flatnonzero(vec)
+            sparse = simulate._apply(backend.Sparse(nz, vec[nz]), g, n)
             assert isinstance(sparse, backend.Sparse)
             assert np.all(np.diff(sparse.idx) > 0), kind
             assert np.all(np.abs(sparse.amp) > backend.DROP), kind
             dense = simulate._apply(vec.copy(), g, n)
             for got in (backend.to_vector(sparse, 1 << n), dense):
                 assert np.max(np.abs(got - want)) <= 1e-12, (kind, g)
+
+
+def test_one_qubit_kernels_agree_across_forms():
+    # the sparse kernel updates each pair with the dense kernel's arithmetic,
+    # so the two forms give the same bits, not only close amplitudes
+    rng = np.random.default_rng(10)
+    n = 10
+    for kind in ("H", "X", "Y", "Z", "S", "T", "RY", "RZ", "CH", "CRY", "CRZ"):
+        for support in (1, 2, 3, 5, 200):
+            for _ in range(4):
+                g = _random_gate(rng, kind, n)
+                vec = _random_state(rng, n, support)
+                nz = np.flatnonzero(vec)
+                sparse = simulate._apply(backend.Sparse(nz, vec[nz]), g, n)
+                dense = simulate._apply(vec.copy(), g, n)
+                assert np.array_equal(backend.to_vector(sparse, 1 << n),
+                                      dense), (g, support)
 
 
 def _family_image(g, n, i):
@@ -216,9 +234,10 @@ def test_family_index_maps_match_bitwise_definition():
 
 
 def test_sparse_and_dense_match_reference(monkeypatch):
-    # three starts: a basis state (sparse, turns dense on the way), a random
-    # dense vector (dense throughout), and a vector whose support sits at the
-    # switch point, so a gate that widens it switches the form
+    # four starts: a basis state (sparse, turns dense on the way), a random
+    # dense vector and a vector whose support sits at the switch point (both
+    # dense throughout, as every vector input is), and a basis state whose
+    # Hadamards widen the support to the switch point and then past it
     forms = []
     to_vector = backend.to_vector
 
@@ -252,7 +271,24 @@ def test_sparse_and_dense_match_reference(monkeypatch):
         widen.extend(circ.gates)
         forms.clear()
         got = simulate_statevector(widen, vec)
+        assert forms == ["ndarray"]
+        assert np.max(np.abs(got - _ref_simulate(widen, vec))) <= 1e-12
+
+        *spread, last = (int(q) for q in rng.permutation(n)[:n - 2])
+        widen = Circuit()
+        widen.add_register("q", n)
+        for q in spread:
+            widen.add("H", (q,))
+        forms.clear()
+        simulate_statevector(widen, basis)
+        assert forms == ["Sparse"]  # 2^(n-3) amplitudes: at the switch point
+        widen.add("H", (last,))
+        widen.extend(circ.gates)
+        forms.clear()
+        got = simulate_statevector(widen, basis)
         assert forms == ["Sparse", "ndarray"]
+        vec = np.zeros(dim, dtype=complex)
+        vec[basis] = 1.0
         assert np.max(np.abs(got - _ref_simulate(widen, vec))) <= 1e-12
 
 
@@ -324,26 +360,6 @@ def test_dense_kernels_past_one_block(monkeypatch, kind):
         assert np.max(np.abs(blocked - want)) <= 1e-12, g
 
 
-@pytest.mark.parametrize("block", [8, None])
-def test_from_vector_switch_point(monkeypatch, block):
-    # the nonzeros sit last, so the count cannot stop before the end
-    if block:
-        monkeypatch.setattr(backend, "BLOCK", block)
-    n = 17
-    dim = 1 << n
-    max_support = dim >> simulate.DENSE_SHIFT
-    vec = np.zeros(dim, dtype=complex)
-    vec[dim - max_support:] = 1.0
-    sparse = backend.from_vector(vec, max_support)
-    assert isinstance(sparse, backend.Sparse)
-    assert np.array_equal(sparse.idx, np.arange(dim - max_support, dim))
-    vec[dim - max_support - 1] = 2.0
-    keep = vec.copy()
-    dense = backend.from_vector(vec, max_support)
-    assert isinstance(dense, np.ndarray) and dense is not vec
-    assert np.array_equal(dense, keep) and np.array_equal(vec, keep)
-
-
 def test_simulator_keeps_input_and_checks():
     circ = Circuit()
     circ.add_register("q", 3)
@@ -408,13 +424,50 @@ def test_register_helpers_match_brute_force(support):
     assert register_overlap(state, circ, "r", target) == pytest.approx(
         overlap, abs=1e-12)
 
-    conds = [("bit", 1, 1), ("bit", 6, 0)]
+    conds = [(1, 1), (6, 0)]
     want = state.copy()
     idx = np.arange(1 << n)
     want[((idx >> (n - 1 - 1)) & 1) != 1] = 0
     want[((idx >> (n - 1 - 6)) & 1) != 0] = 0
     got = project_success(state, circ, conds)
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_project_success_matches_per_condition_projection():
+    rng = np.random.default_rng(31)
+    circ = _register_circuit()
+    n = circ.n_qubits
+    idx = np.arange(1 << n)
+    # none, two, a repeated qubit, and a qubit asked for both values
+    conflict = [(0, 0), (9, 1), (0, 1)]
+    for conds in ([], [(1, 1), (6, 0)], [(1, 1), (6, 0), (1, 1)], conflict):
+        circ.metadata["success"] = conds
+        for support in (1 << n, 40):
+            state = _random_state(rng, n, support)
+            keep = state.copy()
+            want = state.copy()
+            for q, val in conds:
+                want[((idx >> (n - 1 - q)) & 1) != val] = 0
+            got = project_success(state, circ)
+            assert np.array_equal(got, want), conds
+            assert np.array_equal(state, keep)
+            assert got.any() != (conds is conflict)
+
+
+def test_permutation_check_covers_registers_the_reference_leaves_out():
+    # a stray X on the comparator's input register leaves "out" right
+    for bits in (3, 9):
+        circ, _ = arithmetic("ineq", bits)
+        ref = lambda v: {"out": v["out"] ^ (v["a"] <= v["b"])}  # noqa: E731
+        assert check_basis_permutation(circ, ref).ok
+        top = circ.registers["a"].qubits[0]
+        circ.add("X", (top,))
+        verdict = check_basis_permutation(circ, ref)
+        assert not verdict.ok
+        assert len(verdict.failures) == simulate.MAX_FAILURES
+        for vin, name, want, got in verdict.failures:
+            assert name == "a" and want == vin["a"]
+            assert got == vin["a"] ^ (1 << (bits - 1))
 
 
 def test_permutation_check_samples_above_exhaustive_limit():

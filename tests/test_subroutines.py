@@ -514,7 +514,7 @@ def test_p1_branch_profiles_n8():
              0b101: np.array([0, 1, 0, 3, 0, 5, 0, 7], dtype=float),
              0b110: np.arange(8.0) ** 2}
     for label, prof in cases.items():
-        conds = [("bit", lab[k], (label >> (2 - k)) & 1) for k in range(3)]
+        conds = [(lab[k], (label >> (2 - k)) & 1) for k in range(3)]
         proj = project_success(psi, circ, conds)
         w = register_weights(proj, circ, "out")
         assert np.max(np.abs(w / w.sum() - prof / prof.sum())) < 1e-10
