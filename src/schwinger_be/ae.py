@@ -128,6 +128,8 @@ def simulate_adaptive_ae(omega: float, eps: float, delta: float,
     check_omega(omega)
     if not 0 < eps < 1 or not 0 < delta < 1:
         raise OutOfRangeError("eps and delta must be in (0,1)")
+    if seed < 0:
+        raise OutOfRangeError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     levels = max(8, math.ceil(math.log2(_HALF_PI / (2 * eps))) + 2)
     alpha = delta / levels

@@ -20,8 +20,9 @@ from dataclasses import dataclass, asdict, replace
 import numpy as np
 
 from .circuit import Circuit, ResourceReport, count_resources
-from .estimator import (block_encoding_cost, clog2, p1_ancillas, p1_cost,
-                        p2_ancillas, p2_cost, select_cost, reflection_cost)
+from .estimator import (block_encoding_cost, clog2, error_share, p1_ancillas,
+                        p1_cost, p2_ancillas, p2_cost, select_cost,
+                        reflection_cost)
 from .model import (DenseOperator, ModelParams, OutOfRangeError,
                     build_hamiltonian, to_dense, normalization, z_diagonal,
                     z_signs)
@@ -29,50 +30,17 @@ from .simulate import SIMULATION_LIMIT, _place, simulate_statevector
 from .subroutines import _emit_uni, invert_gates
 
 
-@dataclass(frozen=True)
-class BlockEncodingSpec:
-    alpha: float
-    ancilla_width: int   # 2*ceil(log2 N) + 3
-    epsilon: float
-
-    def __post_init__(self):
-        if self.alpha <= 0 or self.epsilon < 0:
-            raise ValueError("alpha must be positive and epsilon nonnegative")
-
-
-@dataclass(frozen=True)
-class ErrorBudget:
-    """Split of the block error: two coefficient-preparation synthesis
-    errors and the amplification residual, chained as
-    2*eps1 + 4*eps2 + 8*delta <= eps / alpha."""
-    eps1: float
-    eps2: float
-    delta: float
-
-    def bound(self, alpha: float) -> float:
-        return (2 * self.eps1 + 4 * self.eps2 + 8 * self.delta) * alpha
-
-    @staticmethod
-    def default(eps: float, alpha: float) -> "ErrorBudget":
-        x = eps / (14 * alpha)
-        return ErrorBudget(eps1=x, eps2=x, delta=x)
-
-    @staticmethod
-    def exact() -> "ErrorBudget":
-        return ErrorBudget(0.0, 0.0, 0.0)
-
-
 def assemble(params: ModelParams, eps: float
-             ) -> tuple[Circuit, BlockEncodingSpec, ResourceReport]:
+             ) -> tuple[Circuit, ResourceReport]:
     """Wire the encoding: coefficient preparation, four controlled prefix
     maps, the five controlled SELECTs, and the mid-circuit reflection that
-    squares the prefix-sum block.  Nodes carry their closed-form costs; the
+    squares the prefix-sum block.  Every preparation gets the error share
+    ``error_share(eps, alpha_S)``.  Nodes carry their closed-form costs; the
     report is ``block_encoding_cost``'s with the T count of the nodes."""
     formula = block_encoding_cost(params, eps)
     n = params.n_sites
     b = clog2(n)
-    alpha = normalization(params).alpha_s
-    e1 = eps / (14 * alpha)
+    e1 = error_share(eps, normalization(params).alpha_s)
 
     circ = Circuit()
     label = circ.add_register("label", 3)
@@ -108,10 +76,9 @@ def assemble(params: ModelParams, eps: float
          anc_r=p2_ancillas(n))
     node("P1.dag", p1c, label + out + (succ1[0],), anc_r=p1_r)
 
-    spec = BlockEncodingSpec(alpha=alpha, ancilla_width=2 * b + 3, epsilon=eps)
     tally = count_resources(circ)
     rep = replace(formula, t_count=tally.t_count, t_real=tally.t_real)
-    return circ, spec, rep
+    return circ, rep
 
 
 # -- Chebyshev squaring --------------------------------------------------------
@@ -173,13 +140,13 @@ def _hopping_mass_dense(params: ModelParams) -> np.ndarray:
     return to_dense(replace(terms, z_even=(), z_odd=(), z_squared=())).matrix
 
 
-def semantic_diagonal(params: ModelParams, budget: ErrorBudget,
+def semantic_diagonal(params: ModelParams, delta: float,
                       zs: np.ndarray) -> np.ndarray:
     """The three cumulative-Z branches of alpha_S <0|U|0> on the basis
     states whose Z signs are the columns of ``zs``.  They see the prefix
-    map's residual: each prefix block becomes (1-delta) M_n + delta I, and
-    the squared branch squares that."""
-    delta = budget.delta
+    map's amplification residual ``delta`` (``error_share`` of the block
+    error; 0 for the exact encoding): each prefix block becomes
+    (1-delta) M_n + delta I, and the squared branch squares that."""
     prefix = np.cumsum(zs, axis=0)  # prefix[k] = sum_{i<=k} Z_i
     th = params.theta / (2 * math.pi)
     j = params.j
@@ -192,12 +159,11 @@ def semantic_diagonal(params: ModelParams, budget: ErrorBudget,
     return diag
 
 
-def semantic_block(params: ModelParams,
-                   budget: ErrorBudget | None = None) -> np.ndarray:
+def semantic_block(params: ModelParams, delta: float = 0.0) -> np.ndarray:
     """alpha_S <0|U|0> composed by LCU algebra: the hopping and mass
-    branches are exact, the cumulative-Z ones ``semantic_diagonal``."""
-    budget = budget or ErrorBudget.exact()
-    diag = semantic_diagonal(params, budget, z_signs(params.n_sites))
+    branches are exact, the cumulative-Z ones ``semantic_diagonal`` at
+    residual ``delta``."""
+    diag = semantic_diagonal(params, delta, z_signs(params.n_sites))
     return _hopping_mass_dense(params) + np.diag(diag)
 
 
@@ -227,10 +193,11 @@ def verify(params: ModelParams, eps: float,
     Both operators hold the same hopping+mass part, so their difference is
     diagonal and the semantic mode's spectral norm is the largest entry of
     the difference of the two diagonals: H_mod's Z strings against the
-    mass strings plus ``semantic_diagonal``.  No 2^N x 2^N matrix is built.
+    mass strings plus ``semantic_diagonal`` at the residual
+    ``error_share(eps, alpha_S)``.  No 2^N x 2^N matrix is built.
     The full-statevector mode measures only the hopping+mass fragment; the
     T counts are the full encoding's.  eps lies in [0, 14 alpha_S), where
-    the budget's delta eps/(14 alpha_S) is below 1.  OutOfRangeError
+    the share eps/(14 alpha_S) is below 1.  OutOfRangeError
     refuses eps outside it and N past the mode's limit before any work, and
     at the costing an eps too small to price (under 6.8e-303 at N=8, where
     14 alpha_S is 305.9)."""
@@ -243,7 +210,7 @@ def verify(params: ModelParams, eps: float,
         if n > SEMANTIC_LIMIT:
             raise OutOfRangeError(f"semantic verification limited to "
                                   f"N <= {SEMANTIC_LIMIT}")
-        budget = ErrorBudget.default(eps, alpha)  # exact() at eps = 0
+        delta = error_share(eps, alpha)  # 0 at eps = 0: the exact encoding
         terms = build_hamiltonian(params)
         zs = z_signs(n)
         # the same sums to_dense puts on the two diagonals: every Z string
@@ -251,7 +218,7 @@ def verify(params: ModelParams, eps: float,
         d_h = z_diagonal(terms.diagonal, zs)
         d_z = z_diagonal(terms.z, zs)
         measured = float(np.max(np.abs(
-            d_h - (d_z + semantic_diagonal(params, budget, zs)))))
+            d_h - (d_z + semantic_diagonal(params, delta, zs)))))
     elif mode == "full-statevector":
         measured = fragment_error(params)
     else:
@@ -259,7 +226,7 @@ def verify(params: ModelParams, eps: float,
     if n >= 8:
         # eps = 0 (exact) is costed at a vanishing positive target
         eps_cost = eps if eps > 0 else 1e-18
-        tally = assemble(params, eps_cost)[2].t_real
+        tally = assemble(params, eps_cost)[1].t_real
         formula = block_encoding_cost(params, eps_cost).t_real
     else:
         tally = formula = 0.0  # fragment sizes below the encoding's domain

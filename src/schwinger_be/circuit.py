@@ -337,6 +337,10 @@ def loads(text: str) -> Circuit:
             name, qubits = tok[1], _ints(tok[2])
             if name in circ.registers:
                 raise ValueError(f"register {name!r} repeated in line {ln!r}")
+            # registers may overlap (released slots are reused), but a
+            # register holds each qubit once
+            if len(set(qubits)) != len(qubits) or min(qubits, default=0) < 0:
+                raise ValueError(f"repeated or negative qubit in line {ln!r}")
             if len(tok) == 4 and tok[3] not in ("reusable", "unreusable"):
                 raise ValueError(f"bad ancilla kind in line {ln!r}")
             circ.registers[name] = _Register(name, qubits, len(tok) == 4,

@@ -34,7 +34,12 @@ PHYSICAL_COLUMNS = ["n_sites", "wt", "p_phys", "t_count", "code_distance",
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("SCHWINGER_BE_SEED", "0"))
+    text = os.environ.get("SCHWINGER_BE_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise OutOfRangeError(f"SCHWINGER_BE_SEED must be an integer, "
+                              f"got {text!r}") from None
 
 
 def _emit(args, text: str) -> None:

@@ -7,9 +7,10 @@ them exactly the way the circuits compose.  As a builder applies its
 control gate by gate through ``subroutines._control``, a controlled closed
 form is the uncontrolled one plus the control's increments: controlled
 UNIs, reflections one qubit wider, a second subtraction in place of a flag
-Toffoli, and phase rotations split in two.  Logs appear ceiled, matching
-the per-rotation cost that :func:`schwinger_be.circuit.count_resources`
-charges.
+Toffoli, and phase rotations split in two.  The full encoding's error
+budget is one number, ``error_share``, which ``blockenc`` reads as well.
+Logs appear ceiled, matching the per-rotation cost that
+:func:`schwinger_be.circuit.count_resources` charges.
 
 All T counts are reals (the rotation-synthesis constant C is irrational);
 ``ResourceReport.t_count`` holds the ceiled integer and ``t_real`` the raw
@@ -207,11 +208,21 @@ def _encoding_report(t: float, n: int, system: int) -> ResourceReport:
                           ancilla_unreusable=junk, total_qubits=system + anc)
 
 
+def error_share(eps: float, alpha: float) -> float:
+    """The equal share e1 = eps / (14 alpha_S) of block error eps.
+
+    P1's synthesis error, P2's synthesis error and P2's amplification
+    residual delta each get e1; they enter the block error as
+    2 e1 + 4 e1 + 8 e1 = eps / alpha_S.  The encoding's closed form, its
+    assembly and its verification all take their errors from here."""
+    return eps / (14 * alpha)
+
+
 def _priceable(eps: float, alpha: float) -> bool:
-    """Whether the closed forms price block error eps: e1 = eps/(14 alpha_S),
-    P2's amplification residual, lies in (0, 1), and e1/(2d), the encoding's
+    """Whether the closed forms price block error eps: its share e1, P2's
+    amplification residual, lies in (0, 1), and e1/(2d), the encoding's
     smallest rotation error, is a normal float, so clog2(1/error) is finite."""
-    e1 = eps / (14 * alpha)
+    e1 = error_share(eps, alpha)
     tiny = e1 / (2 * amplification_rounds(e1)) if 0 < e1 < 1 else 0.0
     return tiny >= sys.float_info.min
 
@@ -226,7 +237,7 @@ def block_encoding_cost(params: ModelParams, eps: float) -> ResourceReport:
         raise OutOfRangeError(f"eps = {eps:.6g} is outside (0, 14 alpha_S = "
                               f"{14 * alpha:.6g}) or too small to price")
     b = clog2(n)
-    e1 = eps / (14 * alpha)
+    e1 = error_share(eps, alpha)
     t = (4 * p2_cost(n, e1, e1, True)
          + 2 * p1_cost(n, e1)
          + select_cost("xx", n, 3) + select_cost("yy", n, 3)

@@ -107,10 +107,6 @@ class HamiltonianTerms:
         """Every group but the hopping: the Z strings."""
         return self.z + self.z_even + self.z_odd + self.z_squared
 
-    @property
-    def all_strings(self) -> tuple[PauliString, ...]:
-        return self.xx + self.yy + self.diagonal
-
 
 @dataclass(frozen=True)
 class NormalizationConstants:

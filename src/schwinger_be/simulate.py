@@ -53,7 +53,6 @@ DENSE_SHIFT = 3
 _SQ2 = 1 / math.sqrt(2)
 _MAT_1Q = {
     "H": np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
     "S": np.array([[1, 0], [0, 1j]], dtype=complex),
@@ -173,7 +172,8 @@ def gate_index_map(g: Gate, n: int, idx: np.ndarray) -> np.ndarray | None:
 def _apply_select(state, g: Gate, n: int):
     """Each term ``a`` is a Pauli string controlled on the control pattern
     and on address ``a``: X X or Y Y on ``sys[a], sys[a+1]``, Z on ``sys[a]``
-    (times (-1)^a for SEL_Z)."""
+    (times (-1)^a for SEL_Z).  X X relabels |i> as |i ^ flip>, flip the two
+    bits; Y Y is the same relabelling times -1 where the two bits agree."""
     nc, ba = g.splits
     ctrls = g.qubits[:nc]
     addr = g.qubits[nc:nc + ba]
@@ -183,10 +183,14 @@ def _apply_select(state, g: Gate, n: int):
     for a in range(g.n_terms):
         val = cval | _place(n, addr, a)
         if g.kind in ("SEL_XX", "SEL_YY"):
-            mat = _MAT_1Q[g.kind[-1]]
-            for q in (sys[a], sys[a + 1]):
-                state = backend.apply_1q_ctrl(state, mat, _bit(n, q), cmask,
-                                              val)
+            flip = _bit(n, sys[a]) | _bit(n, sys[a + 1])
+            state = backend.apply_permutation(
+                state, lambda idx, val=val, flip=flip: idx ^ np.where(
+                    (idx & cmask) == val, flip, 0), cmask | flip)
+            if g.kind == "SEL_YY":
+                for bits in (0, flip):
+                    state = backend.apply_phase_pattern(
+                        state, cmask | flip, val | bits, -1.0)
         elif g.kind in ("SEL_Z", "SEL_Z2"):
             b0 = _bit(n, sys[a])
             # an odd SEL_Z term flips the sign where its Z does not
@@ -335,18 +339,17 @@ def check_basis_permutation(circuit: Circuit,
 # -- success projection helpers ----------------------------------------------
 
 
-def project_success(state: np.ndarray, circuit: Circuit,
-                    conditions=None) -> np.ndarray:
+def project_success(state: np.ndarray, circuit: Circuit) -> np.ndarray:
     """Apply the circuit's success projection; returns an unnormalized state.
 
-    Conditions are ``(qubit, value)`` pairs: the state keeps only the basis
-    states whose ``qubit`` reads ``value`` for every pair, so a qubit asked
-    to read both 0 and 1 leaves the zero vector.  ``conditions`` replaces
-    the circuit's ``metadata["success"]`` list when given.  Only the kept
-    nonzero amplitudes are written into a fresh zero vector.
+    The circuit's ``metadata["success"]`` lists ``(qubit, value)`` pairs:
+    the state keeps only the basis states whose ``qubit`` reads ``value``
+    for every pair, so a qubit asked to read both 0 and 1 leaves the zero
+    vector.  Only the kept nonzero amplitudes are written into a fresh zero
+    vector.
     """
     n = circuit.n_qubits
-    conds = circuit.metadata.get("success", []) if conditions is None else conditions
+    conds = circuit.metadata.get("success", [])
     ones = _mask(n, [q for q, val in conds if val])
     zeros = _mask(n, [q for q, val in conds if not val])
     vec = np.asarray(state, dtype=complex)

@@ -10,28 +10,16 @@ from schwinger_be.model import ModelParams, benchmark_params, normalization
 
 def test_error_budget_chain():
     alpha = 63.0
-    bud = be.ErrorBudget.default(1e-2, alpha)
-    assert bud.eps1 == bud.eps2 == bud.delta == pytest.approx(1e-2 / (14 * alpha))
-    assert bud.bound(alpha) == pytest.approx(1e-2)
-
-
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        be.BlockEncodingSpec(alpha=-1.0, ancilla_width=3, epsilon=0.1)
-
-
-def test_assemble_spec_and_width():
-    p = benchmark_params(16)
-    _, spec, rep = be.assemble(p, 1e-3)
-    assert spec.ancilla_width == 2 * 4 + 3
-    assert spec.alpha == pytest.approx(63.0)
+    x = est.error_share(1e-2, alpha)
+    assert x == pytest.approx(1e-2 / (14 * alpha))
+    assert (2 * x + 4 * x + 8 * x) * alpha == pytest.approx(1e-2)
 
 
 @pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256])
 @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
 def test_assemble_tally_equals_closed_form(n, eps):
     p = benchmark_params(n)
-    _, _, rep = be.assemble(p, eps)
+    _, rep = be.assemble(p, eps)
     formula = est.block_encoding_cost(p, eps)
     assert rep.t_real == pytest.approx(formula.t_real)
     assert rep.total_qubits == formula.total_qubits
@@ -93,7 +81,7 @@ def test_semantic_block_delta_bound():
     p = benchmark_params(8)
     alpha = normalization(p).alpha_s
     delta = 1e-3
-    block = be.semantic_block(p, be.ErrorBudget(0.0, 0.0, delta))
+    block = be.semantic_block(p, delta)
     err = np.linalg.norm(be.h_mod_dense(p) - block, 2)
     assert err <= 8 * delta * alpha
 
@@ -139,8 +127,9 @@ def test_verify_budget_soundness_grid():
             p = benchmark_params(n)
             rec = be.verify(p, eps)
             alpha = normalization(p).alpha_s
-            bud = be.ErrorBudget.default(eps, alpha)
-            assert rec.measured_error <= bud.bound(alpha) <= eps + 1e-15
+            x = est.error_share(eps, alpha)
+            assert (rec.measured_error <= (2 * x + 4 * x + 8 * x) * alpha
+                    <= eps + 1e-15)
 
 
 #: the benchmark point, a massive point off theta = pi, and free hopping
@@ -157,9 +146,8 @@ def test_verify_row_sum_equals_spectral_norm(n, point):
     p = ModelParams(n_sites=n, **PARAM_POINTS[point])
     alpha = normalization(p).alpha_s
     for eps in (0.0, 1e-3, 1e-2, 1e-1):
-        budget = (be.ErrorBudget.default(eps, alpha) if eps > 0
-                  else be.ErrorBudget.exact())
-        diff = be.h_mod_dense(p) - be.semantic_block(p, budget)
+        delta = est.error_share(eps, alpha) if eps > 0 else 0.0
+        diff = be.h_mod_dense(p) - be.semantic_block(p, delta)
         assert not np.any(diff - np.diag(np.diag(diff)))
         assert be.verify(p, eps).measured_error == np.linalg.norm(diff, 2)
 

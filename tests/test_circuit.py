@@ -232,6 +232,8 @@ def test_loads_rejects_garbage():
     "register q",                # no qubits
     "register q 0 reusable x",   # extra field
     "register q 0 spare",        # unknown ancilla kind
+    "register q 0,0",            # repeated qubit
+    "register q -1",             # negative qubit
     "gate",                      # no kind
     "gate H",                    # no qubits
     "gate H 0 bogus=1",          # unknown key

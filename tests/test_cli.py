@@ -228,11 +228,19 @@ def test_ae_checks_every_omega_before_any_run(capsys, monkeypatch):
     ("--runs", "0"), ("--runs", "-3"),
     ("--epsilon", "0"), ("--epsilon", "2"), ("--epsilon", "nan"),
     ("--delta", "1"), ("--delta", "0"),
-    ("--hoeffding", "--epsilon", "0"), ("--hoeffding", "--delta", "1")])
+    ("--hoeffding", "--epsilon", "0"), ("--hoeffding", "--delta", "1"),
+    ("--seed", "-5")])
 def test_ae_usage_errors(capsys, argv):
     code, out, err = run(capsys, "ae", "--omega", "0.5", *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ")
+
+
+def test_ae_seed_environment_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("SCHWINGER_BE_SEED", "abc")
+    code, out, err = run(capsys, "ae", "--omega", "0.5", "--runs", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "SCHWINGER_BE_SEED" in err
 
 
 @pytest.mark.parametrize("bits", ["0", "-1", "32"])

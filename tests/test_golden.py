@@ -67,7 +67,7 @@ def _digest_grid():
     for n in (4, 6):
         yield f"fragment({n})", (
             blockenc.fragment_circuit(benchmark_params(n))[0], None)
-    circ, _, rep = blockenc.assemble(benchmark_params(8), 1e-2)
+    circ, rep = blockenc.assemble(benchmark_params(8), 1e-2)
     yield "assemble(8)", (circ, rep)
 
 

@@ -289,7 +289,7 @@ def test_to_dense_is_the_sum_of_every_string(n):
                                               mass=0.2, coupling=1.1,
                                               theta=0.7))
     h = np.zeros((1 << n, 1 << n), dtype=complex)
-    for ps in terms.all_strings:
+    for ps in terms.xx + terms.yy + terms.diagonal:
         _add_string(h, n, ps)
     assert np.array_equal(M.to_dense(terms).matrix, h)
     h += terms.constant_shift * np.eye(1 << n)

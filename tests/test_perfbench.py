@@ -1,0 +1,27 @@
+"""The benchmark's hooks into the package: perfbench reads module and
+function names of ``schwinger_be`` from outside ``src/``, so a renamed or
+deleted name would break only benchmark runs.  This test imports the
+benchmark's modules as they are and runs its cheapest workloads once."""
+import importlib
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_benchmark_hooks_resolve(monkeypatch, tmp_path):
+    # the worker imports its siblings as top-level modules, as run.py does
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracing, workloads, worker = (importlib.import_module(name) for name in
+                                  ("tracing", "workloads", "worker"))
+    assert worker.environment(1)["seed"] == 1
+    workloads.warm_up()
+    tracer = tracing.Tracer()
+    # entering looks up every SPANS name in its module
+    with tracing.tracing(tracer):
+        for name in ("dense-oracle", "ae-grid"):
+            wl = workloads.build(name, 1, str(tmp_path))
+            out = worker.run_pass(wl.make_pass(0), repeat=False)
+            assert out["attempted"] > 0 and out["failed"] == 0, name
+    # the spans' bookkeeping reads the fields of what the package returns
+    metrics = tracing.layer_metrics(tracer, 1.0, 1.0, {}, wl.notes)
+    assert metrics["blockenc.assemble_s"] > 0 and metrics["ae.rounds"] > 0

@@ -429,7 +429,8 @@ def test_register_helpers_match_brute_force(support):
     idx = np.arange(1 << n)
     want[((idx >> (n - 1 - 1)) & 1) != 1] = 0
     want[((idx >> (n - 1 - 6)) & 1) != 0] = 0
-    got = project_success(state, circ, conds)
+    circ.metadata["success"] = conds
+    got = project_success(state, circ)
     assert np.max(np.abs(got - want)) <= 1e-12
 
 

@@ -515,7 +515,8 @@ def test_p1_branch_profiles_n8():
              0b110: np.arange(8.0) ** 2}
     for label, prof in cases.items():
         conds = [(lab[k], (label >> (2 - k)) & 1) for k in range(3)]
-        proj = project_success(psi, circ, conds)
+        circ.metadata["success"] = conds
+        proj = project_success(psi, circ)
         w = register_weights(proj, circ, "out")
         assert np.max(np.abs(w / w.sum() - prof / prof.sum())) < 1e-10
 
