@@ -17,6 +17,6 @@ from .estimator import (FactorTwoDecomposition, factor_two, EstimateRow,
                         PhysicalEstimate, block_encoding_cost,
                         evolution_cost, vpa_cost, table3, physical_qubits)
 from .ae import (AERunStats, hoeffding_queries, chebae_query_formula,
-                 grover_outcome, simulate_adaptive_ae, end_to_end_vpa)
+                 simulate_adaptive_ae, end_to_end_vpa)
 
 __version__ = "0.1.0"

@@ -55,15 +55,6 @@ def check_omega(omega: float) -> None:
         raise OutOfRangeError("omega must be in [0,1]")
 
 
-def grover_outcome(omega: float, k: int, rng: np.random.Generator) -> int:
-    """One measurement after k Grover iterations: Bernoulli(sin^2((2k+1)t))."""
-    check_omega(omega)
-    if k < 0:
-        raise ValueError("depth must be nonnegative")
-    p = math.sin((2 * k + 1) * math.asin(omega)) ** 2
-    return int(rng.random() < p)
-
-
 @dataclass(frozen=True)
 class AERunStats:
     q_psi: int

@@ -15,7 +15,8 @@ map the index array and re-sort it. A single-qubit gate adds the missing
 partners ``i ^ bit`` of the entries it acts on, with amplitude zero, and
 updates both members of each pair by the dense kernel's arithmetic, for
 every matrix, so both forms agree. Phases act through masks on the index
-array.  A kernel that can shrink an amplitude drops the amplitudes of
+array, and a complex phase multiplies real and imaginary parts in both
+forms alike.  A kernel that can shrink an amplitude drops the amplitudes of
 magnitude ``DROP`` or less afterwards, so cancellations shrink the support.
 
 Dense kernels reshape the vector so that each run of adjacent touched
@@ -170,14 +171,27 @@ def apply_1q_ctrl(state, mat, tbit, cmask=0, cval=0):
     return state
 
 
+def _rotate(x: np.ndarray, phase) -> None:
+    """``x *= phase`` in place, a complex phase by real parts: numpy's
+    complex multiply can round an element by the length of its loop."""
+    c, d = phase.real, phase.imag
+    if d == 0:
+        x *= c
+    else:
+        x.real, x.imag = x.real * c - x.imag * d, x.real * d + x.imag * c
+
+
 def apply_phase_pattern(state, mask, val, phase):
     """Multiply the amplitudes of the basis states whose ``mask`` bits equal
     ``val`` by ``phase``."""
     if isinstance(state, Sparse):
-        state.amp[(state.idx & mask) == val] *= phase
+        sel = (state.idx & mask) == val
+        x = state.amp[sel]
+        _rotate(x, phase)
+        state.amp[sel] = x
         return state if abs(phase) == 1 else _pruned(state)
     v, at = _split(state, mask)
-    v[at(val)] *= phase
+    _rotate(v[at(val)], phase)
     return state
 
 

@@ -19,10 +19,10 @@ from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
-from .circuit import Circuit, ResourceReport, count_resources
+from .circuit import (Circuit, ResourceReport, count_resources,
+                      reflection_cost)
 from .estimator import (block_encoding_cost, clog2, error_share, p1_ancillas,
-                        p1_cost, p2_ancillas, p2_cost, select_cost,
-                        reflection_cost)
+                        p1_cost, p2_ancillas, p2_cost, select_cost)
 from .model import (DenseOperator, ModelParams, OutOfRangeError,
                     build_hamiltonian, to_dense, normalization, z_diagonal,
                     z_signs)
@@ -84,12 +84,13 @@ def assemble(params: ModelParams, eps: float
 # -- Chebyshev squaring --------------------------------------------------------
 
 
-def chebyshev_square(encoding: DenseOperator, anc_qubits: int,
-                     tol: float = 1e-12) -> DenseOperator:
+def chebyshev_square(encoding: DenseOperator,
+                     anc_qubits: int) -> DenseOperator:
     """Block of U^dag (R0 x I) U for a unit-normalized encoding U of H.
 
     The reflection hits the ancilla register only, so the resulting block
-    is the degree-2 Chebyshev map 2 H^2 - I; that identity is asserted.
+    is the degree-2 Chebyshev map 2 H^2 - I; that identity is asserted to
+    1e-12 in the spectral norm.
     """
     u = encoding.matrix
     dim = u.shape[0]
@@ -107,7 +108,7 @@ def chebyshev_square(encoding: DenseOperator, anc_qubits: int,
     h = u[:d_sys, :d_sys]
     target = 2 * h @ h - np.eye(d_sys)
     err = np.linalg.norm(block - target, 2)
-    if err > tol:
+    if err > 1e-12:
         raise ValueError(f"squaring identity violated: ||block-(2H^2-I)|| = {err:.3e}")
     return DenseOperator(encoding.n_qubits - anc_qubits, block)
 

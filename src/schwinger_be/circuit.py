@@ -2,16 +2,19 @@
 
 Cost accounting follows the fault-tolerant conventions used throughout the
 builders: Clifford gates are free, a Toffoli costs 4 T (measurement-assisted
-uncomputation), an m-controlled X costs 4m-4, an s-qubit reflection about a
-basis pattern costs 4s-8, and a single-qubit rotation synthesized to operator
-norm error eps costs 4*ceil(log2(1/eps)) + C with C = 5 + 4*log2(1+sqrt(2))
-(eps = ``ROTATION_EPSILON`` for a rotation that carries no budget).  This is
-the convention of the closed forms in :mod:`schwinger_be.estimator`, so every
-builder's tally equals its formula.  Arithmetic blocks (comparator,
-subtractor, controlled swap, leading-zero unary mask) are priced by bit
-width; inverses of out-of-place arithmetic are free and are tagged with
-``inverse=True`` so the tally honors that.  Costs add as reals;
-``ResourceReport.t_count`` ceils the total.
+uncomputation) and an m-controlled X costs 4m-4.  The other prices are
+functions of this module, and the closed forms in
+:mod:`schwinger_be.estimator` call the same functions, so every builder's
+tally equals its formula: ``rotation_cost`` (a single-qubit rotation
+synthesized to operator norm error eps costs 4*ceil(log2(1/eps)) + C with
+C = 5 + 4*log2(1+sqrt(2)), eps = ``ROTATION_EPSILON`` for a rotation that
+carries no budget), ``reflection_cost`` (an s-qubit reflection about a basis
+pattern costs 4s-8, and nothing below s = 2), and by bit width
+``ineq_cost`` (comparator), ``sub_cost`` (subtractor, constant adder,
+leading-zero unary mask) and ``cswap_cost`` (a swap under one control, or
+two if ``controlled``).  Inverses of out-of-place arithmetic are free and
+are tagged with ``inverse=True`` so the tally honors that.  Costs add as
+reals; ``ResourceReport.of`` ceils the total.
 
 Serialization is line oriented (one gate per line) so circuits can be stored
 as golden files::
@@ -64,11 +67,27 @@ class Gate:
     label: str = ""
 
 
-def _rotation_cost(eps: float | None) -> float:
+def rotation_cost(eps: float | None) -> float:
     """T cost of one rotation synthesized to error ``eps``
     (``ROTATION_EPSILON`` when the gate carries no budget)."""
     e = ROTATION_EPSILON if eps is None else eps
     return 4 * math.ceil(math.log2(1 / e)) + C_ROT
+
+
+def reflection_cost(s: int) -> int:
+    return max(4 * s - 8, 0)
+
+
+def ineq_cost(s: int) -> int:
+    return 4 * s
+
+
+def sub_cost(s: int) -> int:
+    return 4 * s - 4
+
+
+def cswap_cost(s: int, controlled: bool = False) -> int:
+    return 7 * s + (4 if controlled else 0)
 
 
 def gate_cost(g: Gate) -> float:
@@ -87,26 +106,23 @@ def gate_cost(g: Gate) -> float:
     if k == "MCX":
         return 4 * (len(g.qubits) - 1) - 4
     if k in ROTATIONS:
-        return _rotation_cost(g.eps)
+        return rotation_cost(g.eps)
     if k in CTRL_ROTATIONS:
-        return 2 * _rotation_cost(g.eps)
+        return 2 * rotation_cost(g.eps)
     if k == "REFLECT":
-        s = g.width or len(g.qubits)
-        return max(4 * s - 8, 0)
+        return reflection_cost(g.width or len(g.qubits))
     if k == "PHASE0":
-        s = g.width or len(g.qubits)
         n_rot = 2 if g.ctrl_rot else 1
-        return max(4 * s - 8, 0) + n_rot * _rotation_cost(g.eps)
-    if g.inverse and k in ("INEQ", "SUB", "ADDC", "UNA"):
+        return (reflection_cost(g.width or len(g.qubits))
+                + n_rot * rotation_cost(g.eps))
+    if g.inverse and k in ARITH:
         return 0.0
     if k == "INEQ":
-        return 4 * g.width
-    if k in ("SUB", "ADDC", "UNA"):
-        return 4 * g.width - 4
-    if k == "CSWAP":
-        return 7 * g.width
-    if k == "CCSWAP":
-        return 7 * g.width + 4
+        return ineq_cost(g.width)
+    if k in ARITH:
+        return sub_cost(g.width)
+    if k in ("CSWAP", "CCSWAP"):
+        return cswap_cost(g.width, controlled=k == "CCSWAP")
     if k in SELECTS or k == "COMPOSITE":
         raise ValueError(f"{k} gate requires an explicit cost annotation")
     raise ValueError(f"unknown gate kind {k}")
@@ -119,6 +135,14 @@ class ResourceReport:
     ancilla_reusable: int
     ancilla_unreusable: int
     total_qubits: int
+
+    @classmethod
+    def of(cls, t_real: float, reusable: int, unreusable: int,
+           total: int) -> "ResourceReport":
+        """The report of T count ``t_real``: ``t_count`` is its ceiling,
+        forgiving 1e-9 of summation error, and 0 for no T gates."""
+        return cls(math.ceil(t_real - 1e-9) if t_real > 0 else 0, t_real,
+                   reusable, unreusable, total)
 
 
 @dataclass
@@ -259,15 +283,8 @@ class Circuit:
 
 
 def count_resources(circuit: Circuit) -> ResourceReport:
-    t_real = sum(gate_cost(g) for g in circuit.gates)
-    peak_reuse, unreusable, peak_total = circuit.ancilla_profile()
-    return ResourceReport(
-        t_count=math.ceil(t_real - 1e-9) if t_real > 0 else 0,
-        t_real=t_real,
-        ancilla_reusable=peak_reuse,
-        ancilla_unreusable=unreusable,
-        total_qubits=peak_total,
-    )
+    return ResourceReport.of(sum(gate_cost(g) for g in circuit.gates),
+                             *circuit.ancilla_profile())
 
 
 # -- serialization ----------------------------------------------------------

@@ -3,18 +3,20 @@
 The formula layer mirrors the construction layer one-to-one: every
 subroutine builder has one cost expression here, and the full
 block-encoding, time-evolution, and vacuum-persistence estimates compose
-them exactly the way the circuits compose.  As a builder applies its
-control gate by gate through ``subroutines._control``, a controlled closed
-form is the uncontrolled one plus the control's increments: controlled
-UNIs, reflections one qubit wider, a second subtraction in place of a flag
-Toffoli, and phase rotations split in two.  The full encoding's error
-budget is one number, ``error_share``, which ``blockenc`` reads as well.
-Logs appear ceiled, matching the per-rotation cost that
-:func:`schwinger_be.circuit.count_resources` charges.
+them exactly the way the circuits compose.  The leaf prices (rotations,
+reflections, comparators, subtractors, swaps) are the functions of
+:mod:`schwinger_be.circuit` that its gate tally calls.  As a builder applies
+its control gate by gate through ``subroutines._control``, a controlled
+closed form is the uncontrolled one plus the increments ``_control``
+defines: controlled UNIs, reflections one qubit wider and phase rotations
+split in two; and a second subtraction in place of a flag Toffoli.  The
+full encoding's error budget is one number, ``error_share``, which
+``blockenc`` reads as well.  Logs appear ceiled, as in the per-rotation
+price.
 
 All T counts are reals (the rotation-synthesis constant C is irrational);
-``ResourceReport.t_count`` holds the ceiled integer and ``t_real`` the raw
-value.
+``ResourceReport.of`` ceils them into ``t_count`` by the rule the gate
+tally uses and keeps the raw value as ``t_real``.
 """
 from __future__ import annotations
 
@@ -22,7 +24,8 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .circuit import C_ROT, ResourceReport
+from .circuit import (C_ROT, ResourceReport, cswap_cost, ineq_cost,
+                      reflection_cost, rotation_cost, sub_cost)
 from .model import (ModelParams, OutOfRangeError, benchmark_params,
                     normalization)
 
@@ -54,15 +57,6 @@ def clog2(x) -> int:
     return math.ceil(math.log2(x))
 
 
-def rotation_cost(eps: float) -> float:
-    return 4 * clog2(1 / eps) + C_ROT
-
-
-def reflection_cost(s: int) -> float:
-    """4s - 8, kept unclamped: that is how the aggregate formulas use it."""
-    return 4 * s - 8
-
-
 # -- subroutine closed forms (match the builders gate for gate) --------------
 
 
@@ -73,22 +67,6 @@ def uni_cost(m: int, eps: float, controlled: bool = False) -> float:
     if controlled:
         t += 4 * ft.z + 4 * l + 12
     return t
-
-
-def ineq_cost(s: int) -> float:
-    return 4 * s
-
-
-def sub_cost(s: int) -> float:
-    return 4 * s - 4
-
-
-def cswap_cost(s: int, controlled: bool = False) -> float:
-    return 7 * s + (4 if controlled else 0)
-
-
-def una_cost(s: int) -> float:
-    return 4 * s - 4
 
 
 def _ps_cost(n: int, eps: float, controlled: bool, odd: bool) -> float:
@@ -165,7 +143,7 @@ def p2_cost(n: int, eps: float, delta: float,
     return ((d - 1) / 2 * (2 * k * rot + ineq_cost(b) + 8 * b
                            + reflection_cost(b + 1))
             + (k * rot + 2 * ineq_cost(b) + 4 * k * b + sub_cost(b)
-               + una_cost(b) + 4 * (k - 1)))
+               + sub_cost(b) + 4 * (k - 1)))
 
 
 def p2_ancillas(n: int) -> int:
@@ -202,10 +180,8 @@ def _encoding_report(t: float, n: int, system: int) -> ResourceReport:
     """Report of T count ``t`` on ``system`` qubits plus the encoding's
     ancillas, of which P1's junk and two more are unreusable."""
     junk = p1_ancillas(n)[1] + 2
-    anc = p2_ancillas(n) + junk  # block_encoding_ancillas(n)
-    return ResourceReport(t_count=math.ceil(t), t_real=t,
-                          ancilla_reusable=anc - junk,
-                          ancilla_unreusable=junk, total_qubits=system + anc)
+    anc = block_encoding_ancillas(n)
+    return ResourceReport.of(t, anc - junk, junk, system + anc)
 
 
 def error_share(eps: float, alpha: float) -> float:
@@ -266,7 +242,7 @@ def evolution_cost(params: ModelParams, t: float,
         raise OutOfRangeError("eps must be in (0,1)")
     b = clog2(n)
     if t == 0:
-        return ResourceReport(0, 0.0, 0, 0, n + 2 * b + 5)
+        return ResourceReport.of(0.0, 0, 0, n + 2 * b + 5)
     alpha = normalization(params).alpha_s
     be_eps = eps / (3 * abs(t))  # out of range for too long or short a t
     if not _priceable(be_eps, alpha):
@@ -309,11 +285,7 @@ def vpa_cost(params: ModelParams, t: float) -> ResourceReport:
     t_total = AE_TOTAL_QUERIES * (ct + 4 * n + 8 * b + 12)
     if not math.isfinite(t_total):
         raise OutOfRangeError(f"t = {t:.6g} is out of the closed forms' range")
-    anc = vpa_ancillas(n)
-    return ResourceReport(
-        t_count=math.ceil(t_total), t_real=t_total,
-        ancilla_reusable=anc, ancilla_unreusable=0,
-        total_qubits=n + 2 * b + 5 + anc)
+    return ResourceReport.of(t_total, vpa_ancillas(n), 0, logical_qubits(n))
 
 
 def logical_qubits(n: int) -> int:

@@ -21,13 +21,14 @@ Shared conventions:
 * A controlled builder emits each gate through ``_control``, which puts the
   control first among the gate's qubits and looks the new kind up in one
   table: X, CNOT, H, RY, RZ and MCX become CNOT, TOFFOLI, CH, CRY, CRZ and
-  MCX.  A REFLECT stays a REFLECT whose pattern gains the control as its
-  top bit and whose cost width grows by one; with the control off it is
-  -1, and the builders emit such reflections in pairs, so a controlled
-  builder is the identity there.  ``strip_control`` reads the same table
-  backwards.  The controlled CZ (a REFLECT on three qubits), the
-  doubly-controlled swap with its uncompute, and ``p2``'s controlled phase
-  are written out where they are emitted.
+  MCX.  A REFLECT or PHASE0 keeps its kind, and its pattern gains the
+  control as its top bit.  A REFLECT's cost width grows by one; with the
+  control off it is -1, and the builders emit such reflections in pairs,
+  so a controlled builder is the identity there.  A PHASE0 keeps its cost
+  width and splits its rotation in two (``ctrl_rot``).  ``strip_control``
+  reads the same table backwards.  The controlled CZ (a REFLECT on three
+  qubits) and the doubly-controlled swap with its uncompute are written
+  out where they are emitted.
 """
 from __future__ import annotations
 
@@ -128,10 +129,10 @@ def invert_gates(gates: list[Gate]) -> list[Gate]:
 
 #: kind of a gate after ``_control`` prepends one more control
 _CONTROLLED = {"X": "CNOT", "CNOT": "TOFFOLI", "H": "CH", "RY": "CRY",
-               "RZ": "CRZ", "MCX": "MCX", "REFLECT": "REFLECT"}
-#: the inverse; a PHASE0 loses its control like a REFLECT (``p2`` emits the
-#: controlled phase itself, as it needs ``ctrl_rot``)
-_UNCONTROLLED = {v: k for k, v in _CONTROLLED.items()} | {"PHASE0": "PHASE0"}
+               "RZ": "CRZ", "MCX": "MCX", "REFLECT": "REFLECT",
+               "PHASE0": "PHASE0"}
+#: the inverse
+_UNCONTROLLED = {v: k for k, v in _CONTROLLED.items()}
 #: kinds whose control is the top bit of their pattern
 _PATTERNED = ("REFLECT", "PHASE0")
 #: an uncontrolled MCX takes the name of its arity
@@ -143,13 +144,13 @@ def _control(g: Gate, ctrl: int | None) -> Gate:
     ``ctrl`` is None."""
     if ctrl is None:
         return g
-    if g.kind not in _CONTROLLED:
+    if g.kind not in _CONTROLLED or g.ctrl_rot:
         raise ValueError(f"no controlled form of {g.kind}")
     out = replace(g, kind=_CONTROLLED[g.kind], qubits=(ctrl,) + g.qubits)
     if g.kind in _PATTERNED:
-        w = len(g.qubits)
+        w, phase = len(g.qubits), g.kind == "PHASE0"
         out = replace(out, pattern=max(g.pattern, 0) | 1 << w,
-                      width=(g.width or w) + 1)
+                      width=(g.width or w) + (not phase), ctrl_rot=phase)
     return out
 
 
@@ -178,9 +179,10 @@ def strip_control(gates: list[Gate], ctrl: int | None,
             kind = _X_BY_ARITY.get(len(rest), "MCX")
         g2 = replace(g, kind=kind, qubits=rest)
         if kind in _PATTERNED:
-            w = len(g.qubits)
+            w, phase = len(g.qubits), kind == "PHASE0"
             g2 = replace(g2, pattern=max(g.pattern, 0) & ~(1 << (w - 1)),
-                         width=max((g.width or w) - 1, 0))
+                         width=max((g.width or w) - (not phase), 0),
+                         ctrl_rot=False)
         out.append(g2)
     return out
 
@@ -654,13 +656,8 @@ def p2(n: int, eps: float, delta: float, controlled: bool = False
 
     def s_prepared(angle):
         ch_layer()
-        if controlled:
-            circ.add("PHASE0", (ctrl,) + tuple(out) + (t,), angle=angle,
-                     eps=eps_rot, width=b + 1, pattern=1 << (b + 1),
-                     ctrl_rot=True)
-        else:
-            circ.add("PHASE0", tuple(out) + (t,), angle=angle, eps=eps_rot,
-                     width=b + 1)
+        circ.append(_control(Gate("PHASE0", out + (t,), angle=angle,
+                                  eps=eps_rot, width=b + 1), ctrl))
         ch_layer()
 
     # m := n-1; z := leading-zero mask of m; initial preparation layer

@@ -217,7 +217,7 @@ def test_criterion_5_chebyshev_squaring():
         h = (h + h.conj().T) / 2
         h /= np.linalg.norm(h, 2) * float(rng.uniform(1.0, 3.0))
         u = be.unitary_dilation(h)
-        blk = be.chebyshev_square(u, 1, tol=1e-12).matrix
+        blk = be.chebyshev_square(u, 1).matrix
         worst = max(worst, np.linalg.norm(blk - (2 * h @ h - np.eye(dim)), 2))
     ok = worst < 1e-12
     _report("criterion 5 (squaring identity, 100 seeds)", ok,

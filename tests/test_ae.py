@@ -32,25 +32,6 @@ def test_chebae_formula():
     assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
-def test_grover_outcome_edges():
-    rng = np.random.default_rng(0)
-    assert all(ae.grover_outcome(1.0, k, rng) == 1 for k in range(5))
-    assert all(ae.grover_outcome(0.0, k, rng) == 0 for k in range(5))
-    with pytest.raises(ValueError):
-        ae.grover_outcome(1.5, 0, rng)
-    with pytest.raises(ValueError):
-        ae.grover_outcome(0.5, -1, rng)
-
-
-def test_grover_outcome_statistics():
-    # omega=0.5, k=0: success probability 0.25; 1e5 draws within 3 sigma
-    rng = np.random.default_rng(123)
-    n = 100_000
-    hits = sum(ae.grover_outcome(0.5, 0, rng) for _ in range(n))
-    sigma = math.sqrt(n * 0.25 * 0.75)
-    assert abs(hits - 0.25 * n) < 3 * sigma
-
-
 def test_determinism_under_seed():
     a = ae.simulate_adaptive_ae(0.3, 0.005, 0.05, 42)
     b = ae.simulate_adaptive_ae(0.3, 0.005, 0.05, 42)
@@ -144,13 +125,11 @@ def test_vpa_budget_split():
 
 
 def test_out_of_range_rules():
-    rng = np.random.default_rng(0)
     for call in (lambda: ae.simulate_adaptive_ae(math.nan, 0.01, 0.05, 0),
                  lambda: ae.simulate_adaptive_ae(0.5, 0.01, 1.0, 0),
                  lambda: ae.simulate_adaptive_ae(0.5, math.nan, 0.05, 0),
                  lambda: ae.hoeffding_queries(0.01, 0.0),
-                 lambda: ae.chebae_query_formula(1.0),
-                 lambda: ae.grover_outcome(-0.1, 0, rng)):
+                 lambda: ae.chebae_query_formula(1.0)):
         with pytest.raises(OutOfRangeError):
             call()
 

@@ -58,7 +58,7 @@ def test_chebyshev_square_random_dilations():
         h = (h + h.conj().T) / 2
         h /= np.linalg.norm(h, 2) * (1 + rng.uniform(0.01, 1.0))
         u = be.unitary_dilation(h)
-        blk = be.chebyshev_square(u, 1, tol=1e-12)
+        blk = be.chebyshev_square(u, 1)
         assert np.linalg.norm(blk.matrix - (2 * h @ h - np.eye(4)), 2) < 1e-12
 
 

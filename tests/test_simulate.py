@@ -187,10 +187,12 @@ def test_kernels_match_reference_in_both_forms():
 
 def test_one_qubit_kernels_agree_across_forms():
     # the sparse kernel updates each pair with the dense kernel's arithmetic,
-    # so the two forms give the same bits, not only close amplitudes
+    # and both forms multiply a PHASE0's phase by real parts, so the two
+    # forms give the same bits, not only close amplitudes
     rng = np.random.default_rng(10)
     n = 10
-    for kind in ("H", "X", "Y", "Z", "S", "T", "RY", "RZ", "CH", "CRY", "CRZ"):
+    for kind in ("H", "X", "Y", "Z", "S", "T", "RY", "RZ", "CH", "CRY", "CRZ",
+                 "PHASE0"):
         for support in (1, 2, 3, 5, 200):
             for _ in range(4):
                 g = _random_gate(rng, kind, n)

@@ -169,6 +169,8 @@ CONTROL_CASES = [
     Gate("MCX", (1, 2, 3)), Gate("MCX", (1, 2, 3, 4)),
     Gate("REFLECT", (1, 2, 3)),
     Gate("REFLECT", (1, 2, 3, 4), pattern=0b1010, width=6),
+    Gate("PHASE0", (2, 3), angle=-1.3, pattern=0b01),
+    Gate("PHASE0", (1, 2, 3), angle=0.9, eps=1e-3, width=4),
 ]
 
 
@@ -203,6 +205,9 @@ def test_control_and_strip_roundtrip(gate):
 def test_control_rejects_unknown_kinds():
     with pytest.raises(ValueError):
         sub._control(Gate("CSWAP", (1, 2, 3), width=1), 0)
+    # a controlled phase has no priced form with a second control
+    with pytest.raises(ValueError):
+        sub._control(sub._control(Gate("PHASE0", (1, 2)), 0), 3)
     # the control must be the first qubit of the gate it is stripped from
     with pytest.raises(ValueError):
         sub.strip_control([Gate("CNOT", (1, 0))], 0)
