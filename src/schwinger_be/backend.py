@@ -25,12 +25,25 @@ another.  A gate then acts on strided views of that array, and no kernel
 builds an index array over all 2^n amplitudes.  The general one-qubit and
 the permutation kernels walk those views in blocks of about ``BLOCK``
 amplitudes, cut from the untouched axes in memory order, so that a block
-stays in cache while the kernel makes its several passes over it.  So no
-temporary of a dense kernel holds more than about ``BLOCK`` amplitudes,
-except where a permutation moves more than ``BLOCK / 2`` amplitudes at each
-setting of the untouched qubits: it then gathers two settings at a time.
-Each amplitude gets the same floating-point operations whatever the block
-size, so the states do not depend on it.
+stays in cache while the kernel makes its several passes over it.
+
+Where index bit 2^0 is untouched, the untouched bits below the lowest
+touched one make every view a stack of short contiguous rows, and numpy
+would run one short inner loop per row.  So those rows move whole, each
+viewed as one ``np.void`` element: the general one-qubit kernel copies a
+block's rows, when shorter than ``BLOCK // 4`` amplitudes, into two
+contiguous buffers, runs its arithmetic there and copies the rows back; a
+permutation moves rows whole while one gathered block stays within
+``BLOCK`` amplitudes.  So no temporary of a dense kernel holds more than
+about ``BLOCK`` amplitudes, except where a permutation moves more than
+``BLOCK / 2`` amplitudes at each setting of the untouched qubits: it then
+gathers two settings at a time.  Each amplitude gets the same
+floating-point operations whatever the block size and whether its row
+moved whole, so the states depend on neither.
+
+A dense kernel updates its state in place, or, given ``out``, leaves it as
+it is and writes the result to ``out``: straight from the input where the
+kernel writes every amplitude, else after copying the input there first.
 """
 from __future__ import annotations
 
@@ -125,9 +138,36 @@ def _split(state: np.ndarray, mask: int):
     return state.reshape(shape).transpose(touched + runs), at
 
 
-def apply_1q_ctrl(state, mat, tbit, cmask=0, cval=0):
+def _rows(x: np.ndarray) -> np.ndarray:
+    """``x`` with each row of its contiguous last axis as one void element,
+    so that numpy copies a row in one step, not one amplitude at a time."""
+    return x.view(np.dtype((np.void, x.itemsize * x.shape[-1])))[..., 0]
+
+
+def _mix(a, b, c, d, x0, x1, y0, y1) -> None:
+    """``y0, y1 = a x0 + b x1, c x0 + d x1``; ``y`` may be ``x``."""
+    t = c * x0
+    np.multiply(a, x0, out=y0)
+    y0 += b * x1
+    np.multiply(d, x1, out=y1)
+    y1 += t
+
+
+def _dst(state: np.ndarray, out, whole: bool) -> np.ndarray:
+    """The array a dense kernel writes: ``state`` itself without ``out``;
+    else ``out``, first filled with a copy of ``state`` unless the kernel
+    writes ``whole`` of it.  The kernel reads ``state`` either way."""
+    if out is None:
+        return state
+    if not whole:
+        np.copyto(out, state)
+    return out
+
+
+def apply_1q_ctrl(state, mat, tbit, cmask=0, cval=0, out=None):
     """Apply the 2x2 ``mat`` to bit ``tbit`` of the basis states whose
-    ``cmask`` bits equal ``cval``."""
+    ``cmask`` bits equal ``cval``.  A dense ``state`` is updated in place,
+    or, given ``out``, left as it is and the result written to ``out``."""
     a, b, c, d = mat.ravel()
     if isinstance(state, Sparse):
         idx, amp = state
@@ -150,56 +190,74 @@ def apply_1q_ctrl(state, mat, tbit, cmask=0, cval=0):
             np.concatenate((rest.idx, pairs, pairs | tbit)),
             np.concatenate((rest.amp, a * x[0] + b * x[1],
                             c * x[0] + d * x[1]))))
-    v, at = _split(state, tbit | cmask)
-    v0, v1 = v[at(cval)], v[at(cval | tbit)]
-    # a diagonal gate's own path: without it dense-sim ran about 10% slower
-    if b == 0 and c == 0:
-        # one pass over each half and no temporary: nothing to block
-        if a != 1:
-            np.multiply(a, v0, out=v0)
-        if d != 1:
-            np.multiply(d, v1, out=v1)
-        return state
-    for key in _blocks(v0.shape, BLOCK):
-        x0, x1 = v0[key], v1[key]
-        # x0, x1 <- a x0 + b x1, c x0 + d x1, in place
-        t = c * x0
-        np.multiply(a, x0, out=x0)
-        x0 += b * x1
-        np.multiply(d, x1, out=x1)
-        x1 += t
-    return state
+    mask = tbit | cmask
+    # a diagonal gate's own path: without it dense-sim ran about 10% slower.
+    # It leaves a half whose factor is 1 alone.
+    diagonal = b == 0 and c == 0
+    acted = [(i, s) for i, s in ((cval, a), (cval | tbit, d))
+             if not diagonal or s != 1]
+    dst = _dst(state, out, not cmask and len(acted) == 2)
+    v, at = _split(state, mask)
+    w, _ = _split(dst, mask)
+    if diagonal:
+        # one pass over each half and no temporary: nothing to block, and
+        # moving short rows whole paid only for bit 2^1
+        for i, s in acted:
+            np.multiply(s, v[at(i)], out=w[at(i)])
+        return dst
+    x0, x1 = v[at(cval)], v[at(cval | tbit)]
+    y0, y1 = w[at(cval)], w[at(cval | tbit)]
+    row = mask & -mask
+    if 1 < row < BLOCK // 4 and x0.ndim > 1:
+        # short rows, more than one per half: each block's rows move whole
+        # into contiguous buffers, where the same arithmetic runs in place,
+        # and back (rows of BLOCK // 4 or more were faster left as they are)
+        x0, x1, y0, y1 = map(_rows, (x0, x1, y0, y1))
+        for key in _blocks(x0.shape, BLOCK // row):
+            b0, b1 = np.array(x0[key]), np.array(x1[key])
+            f0, f1 = b0.view(complex), b1.view(complex)
+            _mix(a, b, c, d, f0, f1, f0, f1)
+            y0[key], y1[key] = b0, b1
+    else:
+        for key in _blocks(x0.shape, BLOCK):
+            _mix(a, b, c, d, x0[key], x1[key], y0[key], y1[key])
+    return dst
 
 
-def _rotate(x: np.ndarray, phase) -> None:
-    """``x *= phase`` in place, a complex phase by real parts: numpy's
-    complex multiply can round an element by the length of its loop."""
+def _rotate(x: np.ndarray, phase, out: np.ndarray) -> None:
+    """``out = x * phase``, a complex phase by real parts: numpy's complex
+    multiply can round an element by the length of its loop; ``out`` may be
+    ``x``."""
     c, d = phase.real, phase.imag
     if d == 0:
-        x *= c
+        np.multiply(x, c, out=out)
     else:
-        x.real, x.imag = x.real * c - x.imag * d, x.real * d + x.imag * c
+        out.real, out.imag = x.real * c - x.imag * d, x.real * d + x.imag * c
 
 
-def apply_phase_pattern(state, mask, val, phase):
+def apply_phase_pattern(state, mask, val, phase, out=None):
     """Multiply the amplitudes of the basis states whose ``mask`` bits equal
-    ``val`` by ``phase``."""
+    ``val`` by ``phase``.  A dense ``state`` is updated in place, or, given
+    ``out``, left as it is and the result written to ``out``."""
     if isinstance(state, Sparse):
         sel = (state.idx & mask) == val
         x = state.amp[sel]
-        _rotate(x, phase)
+        _rotate(x, phase, x)
         state.amp[sel] = x
         return state if abs(phase) == 1 else _pruned(state)
+    dst = _dst(state, out, not mask)
     v, at = _split(state, mask)
-    _rotate(v[at(val)], phase)
-    return state
+    _rotate(v[at(val)], phase, _split(dst, mask)[0][at(val)])
+    return dst
 
 
-def apply_permutation(state, index_map, mask):
+def apply_permutation(state, index_map, mask, out=None):
     """Relabel each basis state |i> as |index_map(i)>.
 
     ``index_map`` maps int64 index arrays; it must be a bijection that
-    changes only the bits in ``mask`` and depends only on them.
+    changes only the bits in ``mask`` and depends only on them.  A dense
+    ``state`` is updated in place, or, given ``out``, left as it is and the
+    result written to ``out``.
     """
     if isinstance(state, Sparse):
         return _sorted(index_map(state.idx), state.amp)
@@ -209,11 +267,17 @@ def apply_permutation(state, index_map, mask):
             local = np.concatenate((local, local | (1 << p)))
     image = index_map(local)
     moved = image != local
+    dst = _dst(state, out, moved.all())
     if moved.any():
-        v, at = _split(state, mask)
-        src, dst = local[moved], image[moved]
+        (v, at), (w, _) = _split(state, mask), _split(dst, mask)
+        src, to = local[moved], image[moved]
         # each block gathers about BLOCK amplitudes: all moved settings of
-        # the touched axes, times BLOCK // moved entries of the run axes
-        for key in _blocks(v[at(0)].shape, BLOCK // src.size):
-            v[at(dst, key)] = v[at(src, key)]
-    return state
+        # the touched axes, times BLOCK // moved entries of the run axes.
+        # The run below the lowest mask bit moves as whole rows while a
+        # block of two rows at every moved setting stays within BLOCK.
+        size, low = BLOCK // src.size, mask & -mask
+        if low > 1 and 2 * src.size * low <= BLOCK:
+            v, w, size = _rows(v), _rows(w), size // low
+        for key in _blocks(v[at(0)].shape, size):
+            w[at(to, key)] = v[at(src, key)]
+    return dst

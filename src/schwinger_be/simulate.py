@@ -10,22 +10,23 @@ The statevector simulator keeps a state in one of two forms (see
 amplitudes, and those amplitudes), or dense, as all 2^n amplitudes.  A
 basis-index input starts sparse and turns dense for the rest of the
 circuit once the support holds more than ``2^n >> DENSE_SHIFT``
-amplitudes; a vector input is copied and simulated dense throughout.
-Either way it returns the dense vector.
+amplitudes; a vector input is simulated dense throughout, and its first
+gate writes a fresh vector, so the caller's is left as it was.  Either way
+it returns the dense vector.
 
 The switch point comes from the cost of the general one-qubit gate, the
 dearest kernel in sparse form: it sorts and merges the pairs at about 50
 to 170 ns per support entry (2^12 to 2^17 entries of a 20-qubit
-state), where the cache-blocked dense kernel takes about 7 ns per amplitude
-on average over the target qubit: 3 ns for index bits 2^12 and up, 4 to
-20 ns for the bits below, whose short rows numpy walks one by one (one core
-of an Intel Xeon with AVX-512, numpy 2.4, 2^20 amplitudes; before the
-blocking, 15 ns).  Sparse is cheaper below about 2^n / 12 to 2^n / 25
-entries.  ``DENSE_SHIFT = 3`` was set from the unblocked kernel's 2^n / 6
-and stays: moving it moves where ``DROP`` pruning applies, which can change
-states in their last bits.  At 2^n / 8 the sparse form (24 bytes an entry)
-uses 3 bytes per amplitude against 16.  Permutations and phases never widen
-the support, so they do not move the switch.
+state), where the cache-blocked dense kernel takes about 3 ns per amplitude
+on average over the target qubit: 2 ns for index bits 2^12 and up, 3 to
+5.5 ns for the bits below (one core of an Intel Xeon with AVX-512, numpy
+2.4, 2^20 amplitudes; 4.8 ns before the short rows of the low bits moved
+whole, 15 ns before the blocking).  Sparse is cheaper below about 2^n / 17
+to 2^n / 57 entries.  ``DENSE_SHIFT = 3`` was set from the unblocked
+kernel's 2^n / 6 and stays: moving it moves where ``DROP`` pruning applies,
+which can change states in their last bits.  At 2^n / 8 the sparse form
+(24 bytes an entry) uses 3 bytes per amplitude against 16.  Permutations
+and phases never widen the support, so they do not move the switch.
 
 Gates are simulated by family: a controlled kind is its base gate on the
 last qubit (or the last two registers, of width ``g.width or 1``) where all
@@ -169,11 +170,12 @@ def gate_index_map(g: Gate, n: int, idx: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _apply_select(state, g: Gate, n: int):
+def _apply_select(state, g: Gate, n: int, out=None):
     """Each term ``a`` is a Pauli string controlled on the control pattern
     and on address ``a``: X X or Y Y on ``sys[a], sys[a+1]``, Z on ``sys[a]``
     (times (-1)^a for SEL_Z).  X X relabels |i> as |i ^ flip>, flip the two
-    bits; Y Y is the same relabelling times -1 where the two bits agree."""
+    bits; Y Y is the same relabelling times -1 where the two bits agree.
+    ``out`` is as in ``_apply``: the first kernel writes to it."""
     nc, ba = g.splits
     ctrls = g.qubits[:nc]
     addr = g.qubits[nc:nc + ba]
@@ -186,7 +188,7 @@ def _apply_select(state, g: Gate, n: int):
             flip = _bit(n, sys[a]) | _bit(n, sys[a + 1])
             state = backend.apply_permutation(
                 state, lambda idx, val=val, flip=flip: idx ^ np.where(
-                    (idx & cmask) == val, flip, 0), cmask | flip)
+                    (idx & cmask) == val, flip, 0), cmask | flip, out)
             if g.kind == "SEL_YY":
                 for bits in (0, flip):
                     state = backend.apply_phase_pattern(
@@ -196,41 +198,47 @@ def _apply_select(state, g: Gate, n: int):
             # an odd SEL_Z term flips the sign where its Z does not
             flip = g.kind == "SEL_Z" and a % 2
             state = backend.apply_phase_pattern(
-                state, cmask | b0, val | (0 if flip else b0), -1.0)
+                state, cmask | b0, val | (0 if flip else b0), -1.0, out)
         else:  # pragma: no cover
             raise ValueError(g.kind)
+        out = None
+    if out is not None:  # no terms
+        np.copyto(out, state)
+        state = out
     return state
 
 
-def _apply(state, g: Gate, n: int):
+def _apply(state, g: Gate, n: int, out=None):
+    """``g`` applied to ``state``.  A dense ``state`` is updated in place,
+    or, given ``out``, left as it is and the result written to ``out``."""
     k = g.kind
     if k == "COMPOSITE":
         raise ValueError("composite nodes carry costs only and cannot "
                          "be simulated")
     if k in SELECTS:
-        return _apply_select(state, g, n)
+        return _apply_select(state, g, n, out)
     if k in PERMUTATION_KINDS:
         return backend.apply_permutation(
             state, functools.partial(gate_index_map, g, n),
-            _mask(n, g.qubits))
+            _mask(n, g.qubits), out)
     if k in ("REFLECT", "PHASE0"):
         mask = _mask(n, g.qubits)
         val = _place(n, g.qubits, g.pattern if g.pattern >= 0 else 0)
         if k == "REFLECT":
-            state = backend.apply_phase_pattern(state, 0, 0, -1.0)
+            state = backend.apply_phase_pattern(state, 0, 0, -1.0, out)
             return backend.apply_phase_pattern(state, mask, val, -1.0)
         return backend.apply_phase_pattern(state, mask, val,
-                                           np.exp(1j * g.angle))
+                                           np.exp(1j * g.angle), out)
     if k == "CZ":
         mask = _mask(n, g.qubits)
-        return backend.apply_phase_pattern(state, mask, mask, -1.0)
+        return backend.apply_phase_pattern(state, mask, mask, -1.0, out)
     # a one-qubit kind: its base matrix on the last qubit, where all the
     # leading qubits (none for H .. RZ, one for CH, CRY, CRZ) are 1
     base = _CONTROLLED_1Q.get(k, k)
     mat = _ROTATION[base](g.angle) if base in _ROTATION else _MAT_1Q[base]
     cmask = _mask(n, g.qubits[:-1])
     return backend.apply_1q_ctrl(state, mat, _bit(n, g.qubits[-1]), cmask,
-                                 cmask)
+                                 cmask, out)
 
 
 def simulate_statevector(circuit: Circuit, input_state=None,
@@ -239,25 +247,30 @@ def simulate_statevector(circuit: Circuit, input_state=None,
 
     A basis index (the default is 0) is simulated sparse while its support
     holds at most ``2^n >> DENSE_SHIFT`` amplitudes and dense from then on.
-    A vector is copied, so the caller's array is left as it was, and
-    simulated dense.  The result is the dense vector either way.
+    A vector is simulated dense and left as it was: the first gate reads it
+    and writes a fresh vector, which the later gates update in place.  The
+    result is the dense vector either way.
     """
     n = circuit.n_qubits
     if n > limit:
         raise ValueError(f"{n} qubits exceeds the simulation limit {limit}")
     dim = 1 << n
     max_support = dim >> DENSE_SHIFT
+    out = None
     if input_state is None or np.isscalar(input_state):
         start = range(dim)[int(input_state or 0)]
         state = backend.Sparse(np.array([start], dtype=np.int64),
                                np.ones(1, dtype=complex))
     else:
-        # a copy: the dense kernels work in place
-        state = np.array(input_state, dtype=complex)
+        state = np.ascontiguousarray(input_state, dtype=complex)
         if state.shape != (dim,):
             raise ValueError("input state has wrong dimension")
+        if not circuit.gates:
+            return state.copy()
+        out = np.empty(dim, dtype=complex)
     for g in circuit.gates:
-        state = _apply(state, g, n)
+        state = _apply(state, g, n, out)
+        out = None
         if isinstance(state, backend.Sparse) and state.idx.size > max_support:
             state = backend.to_vector(state, dim)
     return backend.to_vector(state, dim)
@@ -372,20 +385,3 @@ def register_weights(state: np.ndarray, circuit: Circuit, reg: str) -> np.ndarra
     return np.bincount(reg_values(idx, n, qs),
                        weights=np.abs(state[idx]) ** 2, minlength=1 << len(qs))
 
-
-def register_overlap(state: np.ndarray, circuit: Circuit, reg: str,
-                     target: np.ndarray) -> float:
-    """|<target (x) anything | state>| / ||state||.
-
-    Equals 1 exactly when the register factors out in the target state.
-    """
-    n = circuit.n_qubits
-    qs = circuit.registers[reg].qubits
-    idx = np.flatnonzero(state)
-    amp = state[idx]
-    # conj(target_v) * amp summed per value of the other qubits
-    _, rest = np.unique(idx & ~_mask(n, qs), return_inverse=True)
-    proj = np.zeros(rest.max(initial=-1) + 1, dtype=complex)
-    np.add.at(proj, rest, np.conj(target[reg_values(idx, n, qs)]) * amp)
-    norm = np.linalg.norm(amp)
-    return float(np.linalg.norm(proj) / norm) if norm > 0 else 0.0

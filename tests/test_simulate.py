@@ -4,6 +4,8 @@ The reference applies each gate to a dense vector through index arrays over
 all 2^n amplitudes, as the package's simulator once did; it lives only here.
 Random circuits of at most 12 qubits cover every gate kind the simulator
 accepts, and every kernel is checked in both the sparse and the dense form.
+``register_overlap``, a helper that ``test_subroutines`` imports, lives here
+too, checked against brute force.
 """
 import math
 
@@ -14,7 +16,7 @@ from schwinger_be import backend, simulate
 from schwinger_be.circuit import Circuit, Gate
 from schwinger_be.simulate import (_MAT_1Q, _bit, _mask, _place, _ry, _rz,
                                    check_basis_permutation, gate_index_map,
-                                   project_success, register_overlap,
+                                   project_success, reg_values,
                                    register_weights, simulate_statevector)
 from schwinger_be.subroutines import arithmetic
 
@@ -103,6 +105,24 @@ def _ref_simulate(circ, vec):
     for g in circ.gates:
         _ref_gate(state, g, circ.n_qubits)
     return state
+
+
+def register_overlap(state: np.ndarray, circuit: Circuit, reg: str,
+                     target: np.ndarray) -> float:
+    """|<target (x) anything | state>| / ||state||.
+
+    Equals 1 exactly when the register factors out in the target state.
+    """
+    n = circuit.n_qubits
+    qs = circuit.registers[reg].qubits
+    idx = np.flatnonzero(state)
+    amp = state[idx]
+    # conj(target_v) * amp summed per value of the other qubits
+    _, rest = np.unique(idx & ~_mask(n, qs), return_inverse=True)
+    proj = np.zeros(rest.max(initial=-1) + 1, dtype=complex)
+    np.add.at(proj, rest, np.conj(target[reg_values(idx, n, qs)]) * amp)
+    norm = np.linalg.norm(amp)
+    return float(np.linalg.norm(proj) / norm) if norm > 0 else 0.0
 
 
 # -- random inputs ---------------------------------------------------------------
@@ -304,6 +324,8 @@ def _dense_gates(rng, kind, n):
     elif kind == "ADDC":
         gates.append(Gate(kind, every, width=n,
                           const=int(rng.integers(1, 1 << n))))
+        # index bits 2^0 and 2^1 untouched: the run below moves as rows
+        gates.append(Gate(kind, (0, 2, n - 3), width=3, const=5))
     elif kind == "REFLECT":
         gates.append(Gate(kind, every, pattern=-1))
     return gates
@@ -318,7 +340,15 @@ def _at_each_block(monkeypatch, apply):
     return out
 
 
+def _same_bits(states) -> bool:
+    """All ``states`` equal bit for bit, signed zeros included."""
+    return all(np.array_equal(x.view(np.uint64), states[0].view(np.uint64))
+               for x in states)
+
+
 def test_dense_kernels_do_not_depend_on_block_size(monkeypatch):
+    # BLOCK 1 and 8 walk short rows in place; past any state, every short
+    # row moves whole into a buffer and back
     rng = np.random.default_rng(12)
     for kind in KINDS:
         for n in range(9, 13):
@@ -326,21 +356,26 @@ def test_dense_kernels_do_not_depend_on_block_size(monkeypatch):
             for g in _dense_gates(rng, kind, n):
                 got = _at_each_block(
                     monkeypatch, lambda: simulate._apply(vec.copy(), g, n))
-                assert all(np.array_equal(x, got[0]) for x in got), (g, n)
+                assert _same_bits(got), (g, n)
     # the kinds above have real or imaginary matrix entries, whose products
-    # round alike in any numpy loop; a complex unitary does not.  Also on a
-    # 0-d view: a target controlled by all the other qubits.
+    # round alike in any numpy loop; a complex unitary does not.  On every
+    # target bit, uncontrolled, with a control below and one above it, and
+    # on a 0-d view: a target controlled by all the other qubits.
     u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
     for n in range(9, 13):
         vec = _random_state(rng, n, 1 << n)
-        t = _bit(n, int(rng.integers(n)))
-        for cmask in (0, (1 << n) - 1 - t):
-            got = _at_each_block(monkeypatch, lambda: backend.apply_1q_ctrl(
-                vec.copy(), u, t, cmask, cmask))
-            want = vec.copy()
-            _ref_1q(want, u, t, cmask, cmask)
-            assert all(np.array_equal(x, got[0]) for x in got), (n, cmask)
-            assert np.max(np.abs(got[0] - want)) <= 1e-12
+        for k in range(n):
+            t = 1 << k
+            below = 1 << int(rng.integers(k)) if k else 0
+            above = 1 << int(rng.integers(k + 1, n)) if k < n - 1 else 0
+            for cmask in {0, below, above, (1 << n) - 1 - t}:
+                got = _at_each_block(
+                    monkeypatch, lambda: backend.apply_1q_ctrl(
+                        vec.copy(), u, t, cmask, cmask))
+                want = vec.copy()
+                _ref_1q(want, u, t, cmask, cmask)
+                assert _same_bits(got), (n, k, cmask)
+                assert np.max(np.abs(got[0] - want)) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", ["H", "ADDC", "SUB"])
@@ -370,7 +405,7 @@ def test_simulator_keeps_input_and_checks():
     vec[5] = 1.0
     simulate_statevector(circ, vec)
     assert vec[5] == 1.0 and np.count_nonzero(vec) == 1
-    # a dense input is copied before the in-place dense kernels run
+    # the first gate reads a dense input and writes a fresh vector
     n = 16
     wide = Circuit()
     wide.add_register("q", n)
@@ -383,6 +418,23 @@ def test_simulator_keeps_input_and_checks():
     got = simulate_statevector(wide, vec)
     assert np.array_equal(vec, keep)
     assert np.max(np.abs(got - _ref_simulate(wide, keep))) <= 1e-12
+    # a first gate of each dense family, writing every amplitude or not
+    for g in (Gate("CRY", (14, 3), angle=0.7), Gate("RY", (9,), angle=1.9),
+              Gate("RZ", (12,), angle=0.4), Gate("CZ", (1, 15)),
+              Gate("REFLECT", (0, 5, 13), pattern=-1),
+              Gate("PHASE0", (4, 11), pattern=2, angle=0.9),
+              Gate("SEL_YY", (1, 2, 6, 7, 10), splits=(1, 1), n_terms=2,
+                   pattern=1, cost_t=0.0),
+              Gate("SEL_Z", (1, 2, 6), splits=(1, 1), n_terms=0, cost_t=0.0),
+              Gate("ADDC", (2, 5, 6, 7, 12), width=5, const=11),
+              Gate("CNOT", (4, 8))):
+        one = Circuit()
+        one.add_register("q", n)
+        one.append(g)
+        got = simulate_statevector(one, vec)
+        assert np.array_equal(vec, keep), g
+        assert not np.shares_memory(got, vec), g
+        assert np.array_equal(got, simulate._apply(vec.copy(), g, n)), g
     assert simulate_statevector(circ, -1)[7] == pytest.approx(-1 / math.sqrt(2))
     with pytest.raises(IndexError):
         simulate_statevector(circ, 8)

@@ -8,8 +8,8 @@ from schwinger_be import subroutines as sub
 from schwinger_be.circuit import Circuit, Gate, count_resources, gate_cost
 from schwinger_be.model import benchmark_params
 from schwinger_be.simulate import (check_basis_permutation, project_success,
-                                   register_overlap, register_weights,
-                                   simulate_statevector)
+                                   register_weights, simulate_statevector)
+from test_simulate import register_overlap
 
 # sizes where every invoked uniform preparation has an odd factor >= 3, so
 # the general construction is non-degenerate and tallies equal the closed
