@@ -11,8 +11,7 @@ from .simulate import (simulate_statevector, check_basis_permutation,
                        project_success, register_weights)
 from .subroutines import (uni, arithmetic, p_s1, p_s2, p_s3, p1, p2, select,
                           fixed_point_phases, branch_weights)
-from .blockenc import (assemble, chebyshev_square, semantic_block, verify,
-                       unitary_dilation)
+from .blockenc import assemble, semantic_block, verify
 from .estimator import (FactorTwoDecomposition, factor_two, EstimateRow,
                         PhysicalEstimate, block_encoding_cost,
                         evolution_cost, vpa_cost, table3, physical_qubits)

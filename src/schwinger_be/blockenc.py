@@ -1,4 +1,4 @@
-"""Full block-encoding assembly, Chebyshev squaring, and verification.
+"""Full block-encoding assembly and verification.
 
 The assembled circuit is a composite-node list (each node carries its exact
 closed-form cost), because the complete construction's ancilla footprint is
@@ -21,13 +21,14 @@ import numpy as np
 
 from .circuit import (Circuit, ResourceReport, count_resources,
                       reflection_cost)
-from .estimator import (block_encoding_cost, clog2, error_share, p1_ancillas,
-                        p1_cost, p2_ancillas, p2_cost, select_cost)
-from .model import (DenseOperator, ModelParams, OutOfRangeError,
-                    build_hamiltonian, to_dense, normalization, z_diagonal,
-                    z_signs)
+from .estimator import (MIN_SITES, block_encoding_cost, clog2, error_share,
+                        p1_ancillas, p1_cost, p2_ancillas, p2_cost,
+                        select_cost, select_terms)
+from .model import (ModelParams, OutOfRangeError, build_hamiltonian, to_dense,
+                    normalization, z_diagonal, z_signs)
 from .simulate import SIMULATION_LIMIT, _place, simulate_statevector
-from .subroutines import _emit_uni, invert_gates
+from .subroutines import (BRANCH_LABELS, _emit_uni, branch_weights,
+                          invert_gates)
 
 
 def assemble(params: ModelParams, eps: float
@@ -79,50 +80,6 @@ def assemble(params: ModelParams, eps: float
     tally = count_resources(circ)
     rep = replace(formula, t_count=tally.t_count, t_real=tally.t_real)
     return circ, rep
-
-
-# -- Chebyshev squaring --------------------------------------------------------
-
-
-def chebyshev_square(encoding: DenseOperator,
-                     anc_qubits: int) -> DenseOperator:
-    """Block of U^dag (R0 x I) U for a unit-normalized encoding U of H.
-
-    The reflection hits the ancilla register only, so the resulting block
-    is the degree-2 Chebyshev map 2 H^2 - I; that identity is asserted to
-    1e-12 in the spectral norm.
-    """
-    u = encoding.matrix
-    dim = u.shape[0]
-    if dim != u.shape[1]:
-        raise ValueError("encoding must be square")
-    d_sys = dim >> anc_qubits
-    if d_sys << anc_qubits != dim:
-        raise ValueError("ancilla count does not divide the dimension")
-    if not np.allclose(u @ u.conj().T, np.eye(dim), atol=1e-10):
-        raise ValueError("encoding must be unitary")
-    refl = -np.ones(dim)
-    refl[:d_sys] = 1.0
-    m = u.conj().T @ (refl[:, None] * u)
-    block = m[:d_sys, :d_sys]
-    h = u[:d_sys, :d_sys]
-    target = 2 * h @ h - np.eye(d_sys)
-    err = np.linalg.norm(block - target, 2)
-    if err > 1e-12:
-        raise ValueError(f"squaring identity violated: ||block-(2H^2-I)|| = {err:.3e}")
-    return DenseOperator(encoding.n_qubits - anc_qubits, block)
-
-
-def unitary_dilation(h: np.ndarray) -> DenseOperator:
-    """One-ancilla exact encoding [[H, S], [S, -H]] with S = sqrt(I - H^2)."""
-    h = np.asarray(h, dtype=complex)
-    vals, vecs = np.linalg.eigh(h)
-    if np.max(np.abs(vals)) > 1 + 1e-12:
-        raise ValueError("dilation requires ||H|| <= 1")
-    s = (vecs * np.sqrt(np.clip(1 - vals ** 2, 0, None))) @ vecs.conj().T
-    u = np.block([[h, s], [s, -h]])
-    n = int(math.log2(h.shape[0])) + 1
-    return DenseOperator(n, u)
 
 
 # -- semantic evaluator ---------------------------------------------------------
@@ -224,7 +181,7 @@ def verify(params: ModelParams, eps: float,
         measured = fragment_error(params)
     else:
         raise ValueError("mode must be 'semantic' or 'full-statevector'")
-    if n >= 8:
+    if n >= MIN_SITES:
         # eps = 0 (exact) is costed at a vanishing positive target
         eps_cost = eps if eps > 0 else 1e-18
         tally = assemble(params, eps_cost)[1].t_real
@@ -246,9 +203,8 @@ def fragment_circuit(params: ModelParams) -> tuple[Circuit, float]:
     small enough for exact statevector extraction."""
     n = params.n_sites
     b = clog2(n)
-    w1 = params.w * (n - 1) / 2
-    w3 = params.mass * n / 2
-    alpha = 2 * w1 + w3
+    wts = branch_weights(params)
+    alpha = wts["xx"] + wts["yy"] + wts["z"]
 
     circ = Circuit()
     l1, l2 = circ.add_register("label", 2)
@@ -256,8 +212,8 @@ def fragment_circuit(params: ModelParams) -> tuple[Circuit, float]:
     sys = circ.add_register("system", n)
 
     prep0 = len(circ.gates)
-    circ.add("RY", (l1,), angle=2 * math.atan2(math.sqrt(w3),
-                                               math.sqrt(2 * w1)))
+    circ.add("RY", (l1,), angle=2 * math.atan2(
+        math.sqrt(wts["z"]), math.sqrt(wts["xx"] + wts["yy"])))
     circ.add("X", (l1,))
     circ.add("CH", (l1, l2))
     circ.add("X", (l1,))
@@ -270,12 +226,11 @@ def fragment_circuit(params: ModelParams) -> tuple[Circuit, float]:
                        keep_alive=True)
     prep_gates = list(circ.gates[prep0:])
 
-    circ.add("SEL_XX", (l1, l2) + out + sys, splits=(2, b), n_terms=n - 1,
-             pattern=0b00, cost_t=0.0)
-    circ.add("SEL_YY", (l1, l2) + out + sys, splits=(2, b), n_terms=n - 1,
-             pattern=0b01, cost_t=0.0)
-    circ.add("SEL_Z", (l1, l2) + out + sys, splits=(2, b), n_terms=n,
-             pattern=0b10, cost_t=0.0)
+    # P1's labels without their top qubit, which is 0 on these branches
+    for kind in ("xx", "yy", "z"):
+        circ.add("SEL_" + kind.upper(), (l1, l2) + out + sys, splits=(2, b),
+                 n_terms=select_terms(kind, n), pattern=BRANCH_LABELS[kind],
+                 cost_t=0.0)
     circ.extend(invert_gates(prep_gates))
     for h in (u_hop, u_mass):
         if h.cmp_name is not None:

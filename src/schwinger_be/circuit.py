@@ -45,6 +45,13 @@ PERMUTATION_KINDS = frozenset(
 KINDS = (CLIFFORD | ROTATIONS | CTRL_ROTATIONS | ARITH | SELECTS
          | {"T", "TOFFOLI", "MCX", "CH", "CSWAP", "CCSWAP", "REFLECT",
             "PHASE0", "COMPOSITE"})
+#: kind of a gate with one more control, put first among its qubits; a
+#: REFLECT or PHASE0 takes it as the top bit of its pattern
+CONTROLLED = {"X": "CNOT", "CNOT": "TOFFOLI", "H": "CH", "RY": "CRY",
+              "RZ": "CRZ", "MCX": "MCX", "REFLECT": "REFLECT",
+              "PHASE0": "PHASE0"}
+#: the inverse: the kind of a gate without its first control
+UNCONTROLLED = {v: k for k, v in CONTROLLED.items()}
 
 
 @dataclass(frozen=True)

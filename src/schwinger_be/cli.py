@@ -122,11 +122,10 @@ def cmd_verify(args) -> int:
     elif args.suite == "subroutines":
         failures = _verify_subroutines()
     else:  # block
-        # the record prices the full encoding, defined for even N >= 8
-        if args.N % 2 != 0 or args.N < 8:
-            raise OutOfRangeError("N must be even and >= 8")
-        rec = blockenc.verify(model.benchmark_params(args.N), args.epsilon,
-                              mode=args.mode)
+        # the record prices the full encoding; benchmark_params refuses odd N
+        params = model.benchmark_params(args.N)
+        estimator.check_encoding_size(args.N)
+        rec = blockenc.verify(params, args.epsilon, mode=args.mode)
         _emit(args, rec.to_json() + "\n")
         return 0 if rec.passed else 1
     report = {"schema_version": SCHEMA_VERSION, "suite": args.suite,
@@ -196,9 +195,8 @@ def cmd_physical(args) -> int:
     for n in n_values:
         params = model.benchmark_params(n)
         rep = estimator.vpa_cost(params, args.wt / params.w)
-        nl = estimator.logical_qubits(n)
         for p in ps:
-            pe = estimator.physical_qubits(rep.t_real, nl, p)
+            pe = estimator.physical_qubits(rep.t_real, rep.total_qubits, p)
             rows.append({"n_sites": n, "wt": args.wt,
                          "t_count": f"{rep.t_real:.6e}", **asdict(pe)})
     _emit(args, _rows_to_text(rows, PHYSICAL_COLUMNS, args.format))

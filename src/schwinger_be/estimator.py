@@ -11,8 +11,9 @@ closed form is the uncontrolled one plus the increments ``_control``
 defines: controlled UNIs, reflections one qubit wider and phase rotations
 split in two; and a second subtraction in place of a flag Toffoli.  The
 full encoding's error budget is one number, ``error_share``, which
-``blockenc`` reads as well.  Logs appear ceiled, as in the per-rotation
-price.
+``blockenc`` reads as well, as the SELECT gates read ``select_terms``
+and every caller reads ``check_encoding_size``, the encoding's one size
+rule.  Logs appear ceiled, as in the per-rotation price.
 
 All T counts are reals (the rotation-synthesis constant C is irrational);
 ``ResourceReport.of`` ceils them into ``t_count`` by the rule the gate
@@ -150,26 +151,37 @@ def p2_ancillas(n: int) -> int:
     return 6 * clog2(n)
 
 
-SELECT_COSTS = {("xx", 3): lambda n: 4 * n,
-                ("yy", 3): lambda n: 4 * n,
-                ("z", 2): lambda n: 4 * n,
-                ("z2", 3): lambda n: 4 * n + 4,
-                ("z2", 4): lambda n: 4 * n + 8}
+#: the encoding's five SELECTs as (term kind, control count)
+SELECT_VARIANTS = frozenset({("xx", 3), ("yy", 3), ("z", 2), ("z2", 3),
+                             ("z2", 4)})
 
 
-def select_cost(kind: str, n: int, controls: int) -> float:
-    try:
-        return SELECT_COSTS[(kind, controls)](n)
-    except KeyError:
+def select_terms(kind: str, n: int) -> int:
+    """Term count L of a SELECT on N sites: N-1 hopping pairs, N Z sites."""
+    return n - 1 if kind in ("xx", "yy") else n
+
+
+def select_cost(kind: str, n: int, controls: int) -> int:
+    """Unary iteration over L terms under c controls: 4(L-1) + 4(c-1)
+    (Babbush et al., arXiv:1805.03662)."""
+    if (kind, controls) not in SELECT_VARIANTS:
         raise ValueError(f"unsupported SELECT variant ({kind}, {controls} controls)")
+    return 4 * (select_terms(kind, n) - 1) + 4 * (controls - 1)
 
 
 # -- block-encoding / evolution / end-to-end ----------------------------------
 
 
-def _check_system(n: int) -> None:
-    if n < 8 or n % 2 != 0:
-        raise OutOfRangeError("block encoding requires even N >= 8")
+#: Smallest N of the encoding, for P_S3's success-amplitude bound: its one
+#: exact round needs ``subroutines.ps3_amplitude(N)`` > 1/2 (0.5229 at N = 8;
+#: the bound alone holds from N = 6, at 0.5046).  ``ModelParams`` makes N even.
+MIN_SITES = 8
+
+
+def check_encoding_size(n: int) -> None:
+    """Raise ``OutOfRangeError`` unless the encoding is defined at N = n."""
+    if n < MIN_SITES:
+        raise OutOfRangeError(f"the block encoding needs N >= {MIN_SITES}")
 
 
 def block_encoding_ancillas(n: int) -> int:
@@ -207,7 +219,7 @@ def block_encoding_cost(params: ModelParams, eps: float) -> ResourceReport:
     """Full block-encoding cost: four controlled prefix preparations, two
     coefficient preparations, five controlled SELECTs, one reflection."""
     n = params.n_sites
-    _check_system(n)
+    check_encoding_size(n)
     alpha = normalization(params).alpha_s
     if not _priceable(eps, alpha):
         raise OutOfRangeError(f"eps = {eps:.6g} is outside (0, 14 alpha_S = "
@@ -237,7 +249,7 @@ def evolution_cost(params: ModelParams, t: float,
                    eps: float) -> ResourceReport:
     """T cost of a unit-normalized block-encoding of exp(-iHt)."""
     n = params.n_sites
-    _check_system(n)
+    check_encoding_size(n)
     if not 0 < eps < 1:
         raise OutOfRangeError("eps must be in (0,1)")
     b = clog2(n)
@@ -325,8 +337,8 @@ def table3(n_values=TABLE3_N, wt_values=TABLE3_WT,
                 n_sites=n, wt=wt, epsilon=0.01,
                 t_count=rep.t_real,
                 runtime_days=rep.t_real / rate / 86400.0,
-                ancilla=vpa_ancillas(n),
-                logical_qubits=logical_qubits(n)))
+                ancilla=rep.ancilla_reusable,
+                logical_qubits=rep.total_qubits))
     return rows
 
 

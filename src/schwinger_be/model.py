@@ -184,10 +184,11 @@ def build_hamiltonian(params: ModelParams) -> HamiltonianTerms:
 
 
 def normalization(params: ModelParams) -> NormalizationConstants:
-    n = params.n_sites
-    s1 = float(sum(l for l in range(1, n) if l % 2 == 0))
-    s2 = float(sum(l for l in range(1, n) if l % 2 == 1))
-    s3 = float(sum(l * l for l in range(1, n)))
+    n = params.n_sites  # even, so 2, 4 .. N-2 and 1, 3 .. N-1
+    m = (n - 2) // 2
+    s1 = float(m * (m + 1))
+    s2 = float((n // 2) ** 2)
+    s3 = float((n - 1) * n * (2 * n - 1) // 6)
     th = params.theta / (2 * math.pi)
     alpha = (params.w * (n - 1) + params.mass / 2 * n
              + params.j * th * s1 + (params.j * th + params.j / 2) * s2

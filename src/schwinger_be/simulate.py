@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import backend
-from .circuit import Circuit, Gate, PERMUTATION_KINDS, SELECTS
+from .circuit import Circuit, Gate, PERMUTATION_KINDS, SELECTS, UNCONTROLLED
 
 SIMULATION_LIMIT = 24
 #: dense from a support of more than 2^n >> DENSE_SHIFT (module docstring)
@@ -72,8 +72,6 @@ def _rz(theta: float) -> np.ndarray:
 
 
 _ROTATION = {"RY": _ry, "RZ": _rz}
-#: the base kind of each controlled one-qubit kind
-_CONTROLLED_1Q = {"CH": "H", "CRY": "RY", "CRZ": "RZ"}
 
 
 def _bit(n: int, q: int) -> int:
@@ -89,12 +87,7 @@ def _mask(n: int, qubits) -> int:
 
 def _place(n: int, qubits, value: int) -> int:
     """Spread ``value`` (MSB-first over ``qubits``) into index-bit positions."""
-    out = 0
-    w = len(qubits)
-    for k, q in enumerate(qubits):
-        if (value >> (w - 1 - k)) & 1:
-            out |= _bit(n, q)
-    return out
+    return _set_values(0, n, qubits, value)
 
 
 def reg_values(idx: np.ndarray, n: int, qubits) -> np.ndarray:
@@ -234,7 +227,7 @@ def _apply(state, g: Gate, n: int, out=None):
         return backend.apply_phase_pattern(state, mask, mask, -1.0, out)
     # a one-qubit kind: its base matrix on the last qubit, where all the
     # leading qubits (none for H .. RZ, one for CH, CRY, CRZ) are 1
-    base = _CONTROLLED_1Q.get(k, k)
+    base = UNCONTROLLED.get(k, k)
     mat = _ROTATION[base](g.angle) if base in _ROTATION else _MAT_1Q[base]
     cmask = _mask(n, g.qubits[:-1])
     return backend.apply_1q_ctrl(state, mat, _bit(n, g.qubits[-1]), cmask,

@@ -19,16 +19,17 @@ Shared conventions:
 * Arithmetic scratch is carried as per-gate ``anc_reusable`` annotations
   (comparator s-1, subtractor s-1, unary mask 2s, doubly-controlled swap 1).
 * A controlled builder emits each gate through ``_control``, which puts the
-  control first among the gate's qubits and looks the new kind up in one
-  table: X, CNOT, H, RY, RZ and MCX become CNOT, TOFFOLI, CH, CRY, CRZ and
-  MCX.  A REFLECT or PHASE0 keeps its kind, and its pattern gains the
-  control as its top bit.  A REFLECT's cost width grows by one; with the
-  control off it is -1, and the builders emit such reflections in pairs,
-  so a controlled builder is the identity there.  A PHASE0 keeps its cost
-  width and splits its rotation in two (``ctrl_rot``).  ``strip_control``
-  reads the same table backwards.  The controlled CZ (a REFLECT on three
-  qubits) and the doubly-controlled swap with its uncompute are written
-  out where they are emitted.
+  control first among the gate's qubits and looks the new kind up in the
+  IR's table, ``circuit.CONTROLLED``: X, CNOT, H, RY, RZ and MCX become
+  CNOT, TOFFOLI, CH, CRY, CRZ and MCX.  A REFLECT or PHASE0 keeps its
+  kind, and its pattern gains the control as its top bit.  A REFLECT's
+  cost width grows by one; with the control off it is -1, and the builders
+  emit such reflections in pairs, so a controlled builder is the identity
+  there.  A PHASE0 keeps its cost width and splits its rotation in two
+  (``ctrl_rot``).  ``strip_control`` reads the table backwards
+  (``circuit.UNCONTROLLED``), as the simulator does.  The controlled CZ
+  (a REFLECT on three qubits) and the doubly-controlled swap with its
+  uncompute are written out where they are emitted.
 """
 from __future__ import annotations
 
@@ -37,8 +38,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .circuit import Circuit, Gate, ResourceReport, count_resources
-from .estimator import amplification_rounds, clog2, factor_two, select_cost
+from .circuit import (CONTROLLED, UNCONTROLLED, Circuit, Gate,
+                      ResourceReport, count_resources)
+from .estimator import (amplification_rounds, check_encoding_size, clog2,
+                        factor_two, select_cost, select_terms)
 from .model import ModelParams, normalization
 
 
@@ -127,12 +130,6 @@ def invert_gates(gates: list[Gate]) -> list[Gate]:
     return out
 
 
-#: kind of a gate after ``_control`` prepends one more control
-_CONTROLLED = {"X": "CNOT", "CNOT": "TOFFOLI", "H": "CH", "RY": "CRY",
-               "RZ": "CRZ", "MCX": "MCX", "REFLECT": "REFLECT",
-               "PHASE0": "PHASE0"}
-#: the inverse
-_UNCONTROLLED = {v: k for k, v in _CONTROLLED.items()}
 #: kinds whose control is the top bit of their pattern
 _PATTERNED = ("REFLECT", "PHASE0")
 #: an uncontrolled MCX takes the name of its arity
@@ -144,9 +141,9 @@ def _control(g: Gate, ctrl: int | None) -> Gate:
     ``ctrl`` is None."""
     if ctrl is None:
         return g
-    if g.kind not in _CONTROLLED or g.ctrl_rot:
+    if g.kind not in CONTROLLED or g.ctrl_rot:
         raise ValueError(f"no controlled form of {g.kind}")
-    out = replace(g, kind=_CONTROLLED[g.kind], qubits=(ctrl,) + g.qubits)
+    out = replace(g, kind=CONTROLLED[g.kind], qubits=(ctrl,) + g.qubits)
     if g.kind in _PATTERNED:
         w, phase = len(g.qubits), g.kind == "PHASE0"
         out = replace(out, pattern=max(g.pattern, 0) | 1 << w,
@@ -171,10 +168,10 @@ def strip_control(gates: list[Gate], ctrl: int | None,
         if ctrl not in g.qubits:
             out.append(g)
             continue
-        if g.qubits[0] != ctrl or g.kind not in _UNCONTROLLED:
+        if g.qubits[0] != ctrl or g.kind not in UNCONTROLLED:
             raise ValueError(f"cannot strip control from {g.kind}")
         rest = g.qubits[1:]
-        kind = _UNCONTROLLED[g.kind]
+        kind = UNCONTROLLED[g.kind]
         if kind == "MCX":
             kind = _X_BY_ARITY.get(len(rest), "MCX")
         g2 = replace(g, kind=kind, qubits=rest)
@@ -266,9 +263,9 @@ def _emit_uni(circ: Circuit, reg, m: int, eps: float, *,
     l = clog2(ft.r)
     g0 = len(circ.gates)
     h = UniHandles()
+    for q in reg:
+        circ.append(_control(Gate("H", (q,)), ctrl))
     if ft.r == 1 and short_circuit:
-        for q in reg:
-            circ.append(_control(Gate("H", (q,)), ctrl))
         h.gates = circ.gates[g0:]
         return h
     top = reg[:l]
@@ -278,8 +275,6 @@ def _emit_uni(circ: Circuit, reg, m: int, eps: float, *,
     uc = circ.alloc_ancilla(_name(circ, f"{tag}uc"), 1)[0]
     theta = 2 * math.asin(0.5 * math.sqrt((1 << l) / ft.r))
 
-    for q in reg:
-        circ.append(_control(Gate("H", (q,)), ctrl))
     circ.add("RY", (flag,), angle=theta, eps=eps / 2)
     _load_const(circ, cmp, ft.r - 1, ctrl=ctrl)
     # reflect about the target {i <= r-1 and flag}
@@ -489,8 +484,7 @@ def _emit_ps3(circ: Circuit, out, n: int, eps: float, *,
               junk: JunkPool | None = None) -> list:
     """Emit the linear-weight preparation onto ``out``; returns success
     conditions (a single flag computed by the final multi-controlled X)."""
-    if n < 8:
-        raise ValueError("N must be >= 8 (the success-amplitude bound needs it)")
+    check_encoding_size(n)
     b = clog2(n)
     amp = ps3_amplitude(n)
     assert amp > 0.5
@@ -713,18 +707,13 @@ def select(kind: str, n: int, controls: int) -> tuple[Circuit, ResourceReport]:
     address a; identity when the address is out of range or the control
     pattern does not match.
     """
-    kinds = {"xx": ("SEL_XX", n - 1), "yy": ("SEL_YY", n - 1),
-             "z": ("SEL_Z", n), "z2": ("SEL_Z2", n)}
-    if kind not in kinds:
-        raise ValueError(f"unknown SELECT kind {kind!r}")
-    cost = select_cost(kind, n, controls)
-    gk, nt = kinds[kind]
+    cost = select_cost(kind, n, controls)  # raises on an unknown variant
     circ = Circuit()
     ctl = circ.add_register("ctrl", controls)
     addr = circ.add_register("addr", clog2(n))
     sys = circ.add_register("system", n)
-    circ.add(gk, tuple(ctl) + tuple(addr) + tuple(sys),
-             splits=(controls, clog2(n)), n_terms=nt,
+    circ.add("SEL_" + kind.upper(), tuple(ctl) + tuple(addr) + tuple(sys),
+             splits=(controls, clog2(n)), n_terms=select_terms(kind, n),
              pattern=(1 << controls) - 1, cost_t=float(cost),
              anc_reusable=clog2(n))
     circ.metadata["output"] = "system"
@@ -760,8 +749,7 @@ def p1(params: ModelParams, eps: float, short_circuit: bool = True
     """Coefficient preparation: three-label splitter, then label-controlled
     index preparations (uniform, uniform, even/odd sqrt-weights, linear)."""
     n = params.n_sites
-    if n < 8 or n % 2 != 0:
-        raise ValueError("N must be even and >= 8")
+    check_encoding_size(n)
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0,1)")
     b = clog2(n)

@@ -296,7 +296,7 @@ def _closed_form_grid():
                 for delta in (0.9, 0.05, 1e-2, 1e-7):
                     yield (f"p2({n},{eps},{delta},{c})",
                            est.p2_cost(n, eps, delta, c))
-        for kind, controls in sorted(est.SELECT_COSTS):
+        for kind, controls in sorted(est.SELECT_VARIANTS):
             yield (f"select({kind},{n},{controls})",
                    est.select_cost(kind, n, controls))
     for n in (8, 10, 16, 64, 128):
@@ -319,3 +319,41 @@ def test_closed_form_digest():
     for name, value in _closed_form_grid():
         h.update(f"{name} = {value!r}\n".encode())
     assert h.hexdigest() == CLOSED_FORM_DIGEST
+
+
+# -- the abstract's claims ------------------------------------------------------
+
+
+def test_abstract_claims_on_the_closed_forms():
+    """alpha_S = O(N^3), T = O(N + log^2(N/eps)) with the five SELECTs as
+    the whole linear part, and about 10^13 T at (N, wt) = (128, 10).
+    Measured on this scan (N = 2^3 .. 2^24, benchmark parameters):
+    alpha_S / N^3 is 10.24 j/24 at N = 8 and j/24 (1 + 4.5e-7) at 2^24;
+    the slope (T(N) - T(N/2)) / (N/2) at 2^24 is 20.00153, 20.00173 and
+    20.00203 for eps = 1e-2, 1e-6, 1e-12, and at most 20.029 from 2^20 on;
+    (T - SELECTs) / log2^2(1/e1) runs from 70.26 down to 30.05 (1e-2),
+    39.30 to 27.50 (1e-6) and 28.52 to 25.18 (1e-12); table3 gives
+    1.7243e13 at (128, 10)."""
+    sizes = [1 << k for k in range(3, 25)]
+    j24 = benchmark_params(8).j / 24
+    cubic = [normalization(benchmark_params(n)).alpha_s / n ** 3 / j24
+             for n in sizes]
+    assert 10.2 < cubic[0] < 10.25
+    assert all(1 < c < d for c, d in zip(cubic[1:], cubic))  # falls to 1
+    assert cubic[-1] < 1 + 5e-7
+    for eps in (1e-2, 1e-6, 1e-12):
+        t, ratios = [], []
+        for n in sizes:
+            p = benchmark_params(n)
+            e1 = est.error_share(eps, normalization(p).alpha_s)
+            t.append(est.block_encoding_cost(p, eps).t_real)
+            selects = sum(est.select_cost(kind, n, c)
+                          for kind, c in est.SELECT_VARIANTS)
+            ratios.append((t[-1] - selects) / math.log2(1 / e1) ** 2)
+        slopes = [(b - a) / (n / 2) for a, b, n in zip(t, t[1:], sizes[1:])]
+        assert all(20 < s < 20.03 for s in slopes[-5:]), (eps, slopes)
+        assert slopes[-1] < 20.0025, (eps, slopes)
+        assert 24 < min(ratios) and max(ratios) < 71, (eps, ratios)
+        assert ratios[-1] < 31 and ratios[-1] < ratios[0], (eps, ratios)
+    (row,) = est.table3((128,), (10.0,))
+    assert f"{row.t_count:.3g}" == "1.72e+13"

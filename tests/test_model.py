@@ -147,6 +147,15 @@ def test_normalization_n2():
     assert (nc.alpha_s1, nc.alpha_s2, nc.alpha_s3) == (0, 1, 1)
 
 
+def test_normalization_closed_forms_equal_the_sums():
+    # the sums over l in 1..N-1 that the closed forms replace
+    for n in list(range(2, 2002, 2)) + [1 << 20]:
+        nc = M.normalization(M.benchmark_params(n))
+        assert (nc.alpha_s1, nc.alpha_s2, nc.alpha_s3) == (
+            float(sum(range(2, n, 2))), float(sum(range(1, n, 2))),
+            float(sum(l * l for l in range(1, n)))), n
+
+
 def test_alpha_cubic_growth():
     # doubling N multiplies the 1-norm by about 8 once the squared ladder
     # dominates

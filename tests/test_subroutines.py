@@ -477,6 +477,15 @@ def test_select_control_pattern_off_identity():
     assert psi[inp] == pytest.approx(1.0)
 
 
+#: the SELECT prices as five separate rules, the reference for the one
+#: unary-iteration rule 4(L-1) + 4(c-1) of ``select_cost``
+SELECT_TABLE = {("xx", 3): lambda n: 4 * n,
+                ("yy", 3): lambda n: 4 * n,
+                ("z", 2): lambda n: 4 * n,
+                ("z2", 3): lambda n: 4 * n + 4,
+                ("z2", 4): lambda n: 4 * n + 8}
+
+
 def test_select_costs():
     assert sub.select("xx", 16, 3)[1].t_count == 64
     assert sub.select("yy", 16, 3)[1].t_count == 64
@@ -487,6 +496,17 @@ def test_select_costs():
         sub.select("z", 16, 4)
     with pytest.raises(ValueError):
         sub.select("w", 16, 3)
+    assert est.SELECT_VARIANTS == set(SELECT_TABLE)
+    for (kind, controls), rule in SELECT_TABLE.items():
+        for n in range(2, 4097):
+            cost = est.select_cost(kind, n, controls)
+            assert type(cost) is int and cost == rule(n), (kind, n, controls)
+        for n in (2, 3, 8, 16, 64):
+            circ, rep = sub.select(kind, n, controls)
+            (gate,) = circ.gates
+            assert gate.n_terms == est.select_terms(kind, n) == (
+                n - 1 if kind in ("xx", "yy") else n)
+            assert rep.t_real == rule(n)
 
 
 # -- coefficient preparation ---------------------------------------------------------
