@@ -172,9 +172,9 @@ def select_cost(kind: str, n: int, controls: int) -> int:
 # -- block-encoding / evolution / end-to-end ----------------------------------
 
 
-#: Smallest N of the encoding, for P_S3's success-amplitude bound: its one
-#: exact round needs ``subroutines.ps3_amplitude(N)`` > 1/2 (0.5229 at N = 8;
-#: the bound alone holds from N = 6, at 0.5046).  ``ModelParams`` makes N even.
+#: Smallest N of the encoding: the domain its closed forms were written and
+#: checked for.  No construction needs it: the gate-level P_S3's bound
+#: ``subroutines.ps3_amplitude(N)`` > 1/2 holds from N = 6.  N is even.
 MIN_SITES = 8
 
 

@@ -172,7 +172,7 @@ def build_hamiltonian(params: ModelParams) -> HamiltonianTerms:
 
     shift = 0.0
     if j != 0:
-        shift += j / 8 * sum(l * l for l in range(1, n))
+        shift += j / 8 * normalization(params).alpha_s3
         shift += j * sum(
             (0.5 * (1 + (-1) ** (outer - 1)) / 2 + th) ** 2
             for outer in range(1, n))

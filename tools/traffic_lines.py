@@ -1,25 +1,26 @@
 #!/usr/bin/env python3
 """List the lines of ``src/schwinger_be`` that real traffic never runs.
 
-    python3 tools/traffic_lines.py [--seed 1]
+    python3 tools/traffic_lines.py
 
 Runs a fixed list of CLI commands (``CLI_ARGV``, usage errors included)
-and one pass of each benchmark workload from ``perfbench/workloads.py``,
-``dense-sim`` cut to its first ``DENSE_SEGMENTS`` segments, under
-``sys.settrace``. Then it prints, file by file, each function with lines
-that never ran: the line numbers, or ``never called``. Lambdas,
-comprehensions and nested functions count as lines of the function they
-are written in; module-level lines run at import and are left out. The
-CLI output is captured and dropped, and ``perfbench`` is only imported.
-Standard library only; it takes about 6 s on one core.
+and one pass of each benchmark workload from ``perfbench/workloads.py``
+(input seed ``SEED``), ``dense-sim`` cut to its first ``DENSE_SEGMENTS``
+segments, under the standard library's ``trace`` line counter. Then it
+prints, file by file, each function with lines that never ran: the line
+numbers, or ``never called``. Lambdas, comprehensions and nested
+functions count as lines of the function they are written in; ``def``
+lines and module-level lines, which run at import, are left out. The CLI
+output is captured and dropped, and ``perfbench`` is only imported.
+Standard library only; it takes about 10 s on one core.
 """
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import sys
 import tempfile
+import trace
 from collections import defaultdict
 from pathlib import Path
 
@@ -49,6 +50,7 @@ CLI_ARGV = (
 )
 WORKLOADS = ("builder-verify", "dense-sim", "ae-grid", "dense-oracle")
 DENSE_SEGMENTS = 6
+SEED = 1
 
 
 def _owner(code) -> str:
@@ -58,50 +60,23 @@ def _owner(code) -> str:
 
 def executable_lines(path: Path) -> dict[str, set[int]]:
     """Line numbers of each top-level function or method of a source file,
-    keyed by its qualified name."""
+    keyed by its qualified name.  A code object's first line counts only
+    when it has no other: the line counter sees no event there."""
     lines: dict[str, set[int]] = defaultdict(set)
     stack = [compile(path.read_text(), str(path), "exec")]
     while stack:
         code = stack.pop()
         stack.extend(c for c in code.co_consts if hasattr(c, "co_code"))
         if code.co_name != "<module>":
-            lines[_owner(code)].update(line for _, _, line in code.co_lines()
-                                       if line is not None)
+            body = {line for _, _, line in code.co_lines()
+                    if line is not None}
+            if len(body) > 1:
+                body.discard(code.co_firstlineno)
+            lines[_owner(code)] |= body
     return lines
 
 
-class LineTrace:
-    """The (file, function, line) triples run in functions under
-    ``PACKAGE``; a call counts the line its code object starts on."""
-
-    def __init__(self):
-        self.hits: set[tuple[str, str, int]] = set()
-        self.prefix = str(PACKAGE)
-
-    def _global(self, frame, event, arg):
-        code = frame.f_code
-        if (code.co_name == "<module>"
-                or not code.co_filename.startswith(self.prefix)):
-            return None
-        key = (code.co_filename, _owner(code))
-        self.hits.add(key + (code.co_firstlineno,))
-
-        def local(frame, event, arg):
-            if event == "line":
-                self.hits.add(key + (frame.f_lineno,))
-            return local
-        return local
-
-    @contextlib.contextmanager
-    def active(self):
-        sys.settrace(self._global)
-        try:
-            yield
-        finally:
-            sys.settrace(None)
-
-
-def run_traffic(seed: int) -> list[str]:
+def run_traffic() -> list[str]:
     """Run the CLI list and one pass of every workload; returns the labels
     of the workload steps whose check failed."""
     from schwinger_be import cli
@@ -113,7 +88,7 @@ def run_traffic(seed: int) -> list[str]:
             cli.main(argv)
     with tempfile.TemporaryDirectory() as workdir:
         for name in WORKLOADS:
-            steps = workloads.build(name, seed, workdir).make_pass(0)
+            steps = workloads.build(name, SEED, workdir).make_pass(0)
             if name == "dense-sim":
                 steps = steps[:DENSE_SEGMENTS]
             failed += [f"{name}:{s.label}" for s in steps
@@ -130,22 +105,18 @@ def _ranges(lines: list[int]) -> str:
     return ", ".join(out)
 
 
-def main(argv=None) -> int:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seed", type=int, default=1,
-                    help="the workloads' input seed")
-    args = ap.parse_args(argv)
+def main() -> int:
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-    trace = LineTrace()
-    with trace.active():
-        failed = run_traffic(args.seed)
+    tracer = trace.Trace(count=1, trace=0,
+                         ignoredirs=[sys.prefix, sys.exec_prefix])
+    failed = tracer.runfunc(run_traffic)
+    hits = set(tracer.results().counts)
     total = unrun = 0
     for path in sorted(PACKAGE.glob("*.py")):
         report = []
         for owner, lines in sorted(executable_lines(path).items(),
                                    key=lambda kv: min(kv[1])):
-            missed = sorted(n for n in lines
-                            if (str(path), owner, n) not in trace.hits)
+            missed = sorted(n for n in lines if (str(path), n) not in hits)
             total += len(lines)
             unrun += len(missed)
             if len(missed) == len(lines):
