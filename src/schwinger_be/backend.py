@@ -44,10 +44,22 @@ moved whole, so the states depend on neither.
 A dense kernel updates its state in place, or, given ``out``, leaves it as
 it is and writes the result to ``out``: straight from the input where the
 kernel writes every amplitude, else after copying the input there first.
+
+A sparse state written out as a dense vector costs memory by its support.
+numpy backs an array of ``HUGE_PAGE_BYTES`` or more with 2 MiB transparent
+huge pages where the kernel allows it, so each scattered write into
+``np.zeros`` would fault in and zero a whole 2 MiB page.  ``zero_vector``
+maps such a vector with 4 KiB pages instead when it is to hold at most one
+nonzero per page on average (a support of at most ``dim >> PAGE_SHIFT``):
+only the pages the writes touch become resident, and reading the others
+maps the kernel's shared zero page.  Any other vector, such as the dense
+form that a support past ``2^n >> 3`` switches to, comes from ``np.zeros``,
+whose recycled heap pages cost less there than fresh mapped ones.
 """
 from __future__ import annotations
 
 import itertools
+import mmap
 from typing import NamedTuple
 
 import numpy as np
@@ -60,6 +72,10 @@ DROP = 1e-15
 #: block's two halves and temporaries stay in one core's 2 MiB L2 cache.
 #: 2^14 beat 2^12 and 2^16 on the dense-sim benchmark (see CHANGES.md).
 BLOCK = 1 << 14
+#: numpy asks for transparent huge pages for arrays of this many bytes or more
+HUGE_PAGE_BYTES = 4 << 20
+#: 4 KiB pages hold 2^PAGE_SHIFT complex128 amplitudes
+PAGE_SHIFT = 8
 
 
 class Sparse(NamedTuple):
@@ -68,11 +84,26 @@ class Sparse(NamedTuple):
     amp: np.ndarray
 
 
+def zero_vector(dim: int, support: int) -> np.ndarray:
+    """A writable zero complex vector of ``dim`` amplitudes, into which at
+    most ``support`` nonzeros will be written.  A vector of
+    ``HUGE_PAGE_BYTES`` or more with a support of at most
+    ``dim >> PAGE_SHIFT`` is a private anonymous mapping with 4 KiB pages
+    (see the module docstring); any other is ``np.zeros``."""
+    nbytes = dim * np.dtype(complex).itemsize
+    if nbytes < HUGE_PAGE_BYTES or support > dim >> PAGE_SHIFT:
+        return np.zeros(dim, dtype=complex)
+    buf = mmap.mmap(-1, nbytes, access=mmap.ACCESS_COPY)
+    if hasattr(mmap, "MADV_NOHUGEPAGE"):  # for hosts whose THP is "always"
+        buf.madvise(mmap.MADV_NOHUGEPAGE)
+    return np.frombuffer(buf, dtype=complex)
+
+
 def to_vector(state, dim: int) -> np.ndarray:
     """The dense vector of a state of dimension ``dim``."""
     if not isinstance(state, Sparse):
         return state
-    out = np.zeros(dim, dtype=complex)
+    out = zero_vector(dim, state.idx.size)
     out[state.idx] = state.amp
     return out
 

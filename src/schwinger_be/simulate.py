@@ -12,7 +12,10 @@ basis-index input starts sparse and turns dense for the rest of the
 circuit once the support holds more than ``2^n >> DENSE_SHIFT``
 amplitudes; a vector input is simulated dense throughout, and its first
 gate writes a fresh vector, so the caller's is left as it was.  Either way
-it returns the dense vector.
+it returns the dense vector.  A result whose support is at most one
+amplitude per 4 KiB page comes from ``backend.zero_vector``, so past 4 MiB
+it holds in memory only the pages its support touches; so does
+``project_success``'s.
 
 The switch point comes from the cost of the general one-qubit gate, the
 dearest kernel in sparse form: it sorts and merges the pairs at about 50
@@ -351,22 +354,21 @@ def project_success(state: np.ndarray, circuit: Circuit) -> np.ndarray:
     The circuit's ``metadata["success"]`` lists ``(qubit, value)`` pairs:
     the state keeps only the basis states whose ``qubit`` reads ``value``
     for every pair, so a qubit asked to read both 0 and 1 leaves the zero
-    vector.  Only the kept nonzero amplitudes are written into a fresh zero
-    vector.
+    vector.  The kept nonzero amplitudes are counted first and written into
+    ``backend.zero_vector``, so a sparse result costs memory by its support.
     """
     n = circuit.n_qubits
     conds = circuit.metadata.get("success", [])
     ones = _mask(n, [q for q, val in conds if val])
     zeros = _mask(n, [q for q, val in conds if not val])
     vec = np.asarray(state, dtype=complex)
-    out = np.zeros(vec.shape, dtype=complex)
-    if not ones & zeros:
-        src, at = backend._split(vec, ones | zeros)
-        dst, _ = backend._split(out, ones | zeros)
-        # nonzeros only: pages of ``out`` left all zero never become resident
-        kept = src[at(ones)]
-        nz = np.nonzero(kept)
-        dst[at(ones)][nz] = kept[nz]
+    if ones & zeros:
+        return backend.zero_vector(vec.size, 0)
+    src, at = backend._split(vec, ones | zeros)
+    kept = src[at(ones)]
+    nz = np.nonzero(kept)
+    out = backend.zero_vector(vec.size, nz[0].size)
+    backend._split(out, ones | zeros)[0][at(ones)][nz] = kept[nz]
     return out
 
 

@@ -8,6 +8,11 @@ accepts, and every kernel is checked in both the sparse and the dense form.
 too, checked against brute force.
 """
 import math
+import mmap
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -488,25 +493,127 @@ def test_register_helpers_match_brute_force(support):
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
-def test_project_success_matches_per_condition_projection():
+def _mapped(vec) -> bool:
+    """Whether ``vec`` is one of ``backend.zero_vector``'s page mappings."""
+    return (isinstance(vec.base, memoryview)
+            and isinstance(vec.base.obj, mmap.mmap))
+
+
+def _heap_zeros(dim, support):
+    return np.zeros(dim, dtype=complex)
+
+
+def _check_result(got, want):
+    """``got`` equals the ``np.zeros`` reference ``want`` bit for bit, is a
+    writable C-contiguous vector and simulates as input like a plain copy."""
+    assert np.array_equal(got, want)
+    assert got.dtype == complex and got.flags.writeable
+    assert got.flags.c_contiguous
+    n = got.size.bit_length() - 1
+    circ = Circuit()
+    circ.add_register("q", n)
+    circ.add("H", (3,))
+    circ.add("CRY", (0, n - 1), angle=0.8)
+    circ.add("ADDC", (1, 5, 7, 8), width=4, const=5)
+    keep = got.copy()
+    again = simulate_statevector(circ, got)
+    assert np.array_equal(got, keep)
+    assert np.array_equal(again, simulate_statevector(circ, keep))
+
+
+def test_zero_vector_maps_sparse_vectors_past_the_huge_page_threshold():
+    # 2^18 amplitudes are numpy's 4 MiB threshold; 2^10 of them are one
+    # amplitude per 4 KiB page
+    for n, support, mapped in ((17, 0, False), (18, 0, True),
+                               (18, 1 << 10, True), (18, (1 << 10) + 1, False),
+                               (20, 1 << 12, True), (20, 1 << 17, False)):
+        vec = backend.zero_vector(1 << n, support)
+        assert _mapped(vec) == mapped, (n, support)
+        assert vec.shape == (1 << n,) and vec.dtype == complex
+        assert vec.flags.writeable and vec.flags.c_contiguous
+        assert not vec.any()
+
+
+@pytest.mark.parametrize("n", [18, 20])
+def test_sparse_result_matches_zeros_reference(monkeypatch, n):
+    rng = np.random.default_rng(n)
+    circ = Circuit()
+    circ.add_register("q", n)
+    for q in rng.permutation(n)[:5].tolist():
+        circ.add("H", (q,))
+    circ.add("RY", (n - 2,), angle=0.3)
+    circ.add("ADDC", (2, 4, 6, 7, 11, 13), width=6, const=21)
+    circ.add("CNOT", (0, n - 1))
+    circ.add("CRY", (1, 9), angle=1.1)
+    circ.add("PHASE0", (4, 8), pattern=1, angle=0.6)
+    got = simulate_statevector(circ, 5)
+    with monkeypatch.context() as m:
+        m.setattr(backend, "zero_vector", _heap_zeros)
+        want = simulate_statevector(circ, 5)
+    assert _mapped(got) and not _mapped(want)
+    assert 1 < np.count_nonzero(got) <= 1 << 7
+    _check_result(got, want)
+
+
+def test_project_success_matches_per_condition_projection(monkeypatch):
     rng = np.random.default_rng(31)
-    circ = _register_circuit()
-    n = circ.n_qubits
-    idx = np.arange(1 << n)
     # none, two, a repeated qubit, and a qubit asked for both values
     conflict = [(0, 0), (9, 1), (0, 1)]
-    for conds in ([], [(1, 1), (6, 0)], [(1, 1), (6, 0), (1, 1)], conflict):
-        circ.metadata["success"] = conds
-        for support in (1 << n, 40):
-            state = _random_state(rng, n, support)
-            keep = state.copy()
-            want = state.copy()
-            for q, val in conds:
-                want[((idx >> (n - 1 - q)) & 1) != val] = 0
-            got = project_success(state, circ)
-            assert np.array_equal(got, want), conds
-            assert np.array_equal(state, keep)
-            assert got.any() != (conds is conflict)
+    # 8 more qubits make 2^18 amplitudes, numpy's 4 MiB huge-page threshold
+    for pad in (0, 8):
+        circ = _register_circuit()
+        if pad:
+            circ.add_register("pad", pad)
+        n = circ.n_qubits
+        idx = np.arange(1 << n)
+        for conds in ([], [(1, 1), (6, 0)], [(1, 1), (6, 0), (1, 1)],
+                      conflict):
+            circ.metadata["success"] = conds
+            for support in (1 << n, 40):
+                state = _random_state(rng, n, support)
+                keep = state.copy()
+                want = state.copy()
+                for q, val in conds:
+                    want[((idx >> (n - 1 - q)) & 1) != val] = 0
+                got = project_success(state, circ)
+                assert np.array_equal(state, keep)
+                with monkeypatch.context() as m:
+                    m.setattr(backend, "zero_vector", _heap_zeros)
+                    heap = project_success(state, circ)
+                assert np.array_equal(heap, want), conds
+                # a quarter or more of 2^n amplitudes kept stay on the heap
+                assert _mapped(got) == bool(pad and (support == 40
+                                                     or conds is conflict))
+                _check_result(got, heap)
+                assert got.any() != (conds is conflict)
+
+
+@pytest.mark.skipif(sys.platform != "linux",
+                    reason="ru_maxrss is in KiB on Linux only")
+def test_sparse_builder_state_grows_peak_memory_by_its_support():
+    # p_s3(12) ends with 11 of 2^20 amplitudes nonzero.  Where numpy gets
+    # 2 MiB pages, its vector from np.zeros faults in 16 MB of them and the
+    # projection's 8 MB more
+    script = """if True:
+        import resource
+        from schwinger_be.simulate import (project_success, register_weights,
+                                           simulate_statevector)
+        from schwinger_be.subroutines import p_s3
+        circ, _ = p_s3(12, 1e-8, short_circuit=False)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        psi = project_success(simulate_statevector(circ), circ)
+        register_weights(psi, circ, circ.metadata["output"])
+        grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+        print(circ.n_qubits, grown)
+    """
+    src = str(Path(simulate.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    n_qubits, grown_kib = map(int, out)
+    assert n_qubits == 20
+    assert grown_kib <= 4 * 1024
 
 
 def test_permutation_check_covers_registers_the_reference_leaves_out():
