@@ -7,8 +7,9 @@ from .model import (ModelParams, PauliString, HamiltonianTerms,
                     exact_evolution, vacuum_persistence, particle_density)
 from .circuit import (Gate, Circuit, ResourceReport, count_resources, dumps,
                       loads)
-from .simulate import (simulate_statevector, check_basis_permutation,
-                       project_success, register_weights)
+from .simulate import (simulate_statevector, block_amplitudes,
+                       check_basis_permutation, project_success,
+                       register_weights)
 from .subroutines import (uni, arithmetic, p_s1, p_s2, p_s3, p1, p2, select,
                           fixed_point_phases, branch_weights)
 from .blockenc import assemble, semantic_block, verify

@@ -202,9 +202,11 @@ def apply_1q_ctrl(state, mat, tbit, cmask=0, cval=0, out=None):
     a, b, c, d = mat.ravel()
     if isinstance(state, Sparse):
         idx, amp = state
-        act = (idx & cmask) == cval
-        rest = Sparse(idx[~act], amp[~act])
-        idx, amp = idx[act], amp[act]
+        rest = Sparse(idx[:0], amp[:0])
+        if cmask:  # else every entry is acted on
+            act = (idx & cmask) == cval
+            rest = Sparse(idx[~act], amp[~act])
+            idx, amp = idx[act], amp[act]
         hi = (idx & tbit) != 0
         # the acted-on entries ordered by their pair's lower index (two
         # sorted runs, so a stable sort merges them), then one slot per pair

@@ -26,7 +26,7 @@ from .estimator import (MIN_SITES, block_encoding_cost, clog2, error_share,
                         select_cost, select_terms)
 from .model import (ModelParams, OutOfRangeError, build_hamiltonian, to_dense,
                     normalization, z_diagonal, z_signs)
-from .simulate import SIMULATION_LIMIT, _place, simulate_statevector
+from .simulate import _place, block_amplitudes
 from .subroutines import (BRANCH_LABELS, _emit_uni, branch_weights,
                           invert_gates)
 
@@ -238,20 +238,29 @@ def fragment_circuit(params: ModelParams) -> tuple[Circuit, float]:
     return circ, alpha
 
 
+#: sites up to which the fragment is checked: its dense 2^N x 2^N block and
+#: the block's 2-norm (an SVD) take about 0.7 s each at N = 10
+FRAGMENT_SITE_LIMIT = 10
+
+
 def fragment_error(params: ModelParams) -> float:
-    """|| (H_XX+H_YY+H_Z) - alpha <0|U|0> || for the gate-level fragment."""
+    """|| (H_XX+H_YY+H_Z) - alpha <0|U|0> || for the gate-level fragment.
+
+    The 2^N columns of the block come from one sparse run
+    (``block_amplitudes``).  N past ``FRAGMENT_SITE_LIMIT`` is refused
+    before any work; ``block_amplitudes`` refuses a run past its index
+    limit, which the fragment reaches only far beyond that (29 qubits and
+    10 column bits at N = 10)."""
     n = params.n_sites
     if n < 4:  # UNI(N-1) must fill the clog2(N)-qubit out register
         raise OutOfRangeError("the gate-level fragment needs N >= 4")
+    if n > FRAGMENT_SITE_LIMIT:  # refuse before building 2^N basis columns
+        raise OutOfRangeError(f"the fragment at N={n} is past the simulation "
+                              f"limit N <= {FRAGMENT_SITE_LIMIT}")
     circ, alpha = fragment_circuit(params)
-    nq = circ.n_qubits
-    if nq > SIMULATION_LIMIT:  # refuse before building 2^N basis columns
-        raise OutOfRangeError(f"the fragment at N={n} has {nq} qubits, past "
-                              f"the simulation limit {SIMULATION_LIMIT}")
     # basis index of each system value with every other qubit at zero
     sys_qubits = circ.registers["system"].qubits
-    rows = [_place(nq, sys_qubits, v) for v in range(1 << n)]
-    block = np.stack([simulate_statevector(circ, col)[rows] for col in rows],
-                     axis=1)
+    rows = [_place(circ.n_qubits, sys_qubits, v) for v in range(1 << n)]
+    block = block_amplitudes(circ, rows, rows)
     return float(np.linalg.norm(_hopping_mass_dense(params) - alpha * block,
                                  2))

@@ -3,7 +3,19 @@
 Two paths: a statevector simulator (rotations applied as exact matrices;
 synthesis error lives only in the cost model), and a basis-permutation fast
 path for arithmetic circuits, which maps integer basis indices directly and
-never touches amplitudes.
+never touches amplitudes.  Two helpers on them hold no intermediate as
+large as the whole space:
+
+* ``check_basis_permutation`` walks its indices in chunks of
+  ``PERMUTATION_CHUNK``: each chunk is mapped through the circuit, read
+  register by register, compared with the reference one index at a time,
+  and checked on the registers the reference leaves out.  Its verdict does
+  not depend on the chunk size.
+* ``block_amplitudes`` extracts a block's columns from one sparse run: the
+  inputs are numbered by column bits appended below the circuit's index
+  bits, which no gate touches, so each amplitude gets the same
+  floating-point operations as in its column's own run.  The state never
+  turns dense, and the index may use up to ``INDEX_LIMIT`` bits.
 
 The statevector simulator keeps a state in one of two forms (see
 ``backend``): sparse, as its support (the sorted indices of its nonzero
@@ -272,6 +284,38 @@ def simulate_statevector(circuit: Circuit, input_state=None,
     return backend.to_vector(state, dim)
 
 
+#: index bits a sparse run may use: an int64 index less its sign bit, and one
+#: bit to spare so that no shift of a valid index overflows
+INDEX_LIMIT = 62
+
+
+def block_amplitudes(circuit: Circuit, inputs, rows) -> np.ndarray:
+    """``<rows[r]| U |inputs[c]>`` for every output row r and basis input c,
+    from one sparse run of the circuit U.
+
+    Input c starts as the basis state ``inputs[c] << k | c``: k column bits,
+    enough to number the inputs, sit below the circuit's index bits.  No gate
+    touches them, so each gate acts on a column's entries exactly as in a
+    run of that column alone, and every amplitude gets the same
+    floating-point operations.  The state stays sparse throughout.  More
+    than ``INDEX_LIMIT`` index bits are refused before any work.
+    """
+    n = circuit.n_qubits
+    k = max(len(inputs) - 1, 0).bit_length()
+    if n + k > INDEX_LIMIT:
+        raise ValueError(f"{n} qubits and {k} column bits exceed the "
+                         f"simulation limit of {INDEX_LIMIT} index bits")
+    cols = np.arange(len(inputs), dtype=np.int64)
+    state = backend._sorted(np.asarray(inputs, dtype=np.int64) << k | cols,
+                            np.ones(cols.size, dtype=complex))
+    for g in circuit.gates:
+        state = _apply(state, g, n + k)
+    keys = (np.asarray(rows, dtype=np.int64)[:, None] << k | cols).ravel()
+    at = np.minimum(np.searchsorted(state.idx, keys), state.idx.size - 1)
+    found = state.idx[at] == keys
+    return np.where(found, state.amp[at], 0).reshape(len(rows), cols.size)
+
+
 # -- basis-permutation verification ------------------------------------------
 
 
@@ -300,6 +344,9 @@ EXHAUSTIVE_LIMIT = 17
 PERMUTATION_SAMPLES = 4096
 PERMUTATION_SEED = 7
 MAX_FAILURES = 10  # failures after which a check stops
+#: basis indices mapped and compared at a time, so a check holds no list or
+#: array over the whole space (at 2^17 indices those took 9 MiB at once)
+PERMUTATION_CHUNK = 1 << 12
 
 
 def check_basis_permutation(circuit: Circuit,
@@ -307,42 +354,53 @@ def check_basis_permutation(circuit: Circuit,
     """Confirm the circuit equals ``reference`` on computational basis states.
 
     ``reference`` maps a dict of register values to a dict of expected
-    register values; the registers left out of its last result (a reference
+    register values; the registers left out of its results (a reference
     returns the same registers at every input) must keep their values.  A
-    failure is ``(inputs, register, expected, got)``.  Exhaustive up to
-    ``EXHAUSTIVE_LIMIT`` qubits, sampled above.
+    failure is ``(inputs, register, expected, got)``: the reference's
+    failures in index order, then the left-out registers' failures in index
+    order, at most ``MAX_FAILURES`` in all.  Exhaustive up to
+    ``EXHAUSTIVE_LIMIT`` qubits, sampled above; the indices are walked in
+    chunks of ``PERMUTATION_CHUNK``.
     """
     n = circuit.n_qubits
     if n <= EXHAUSTIVE_LIMIT:
-        idx = np.arange(1 << n, dtype=np.int64)
+        total, sample = 1 << n, None
     else:
         rng = np.random.default_rng(PERMUTATION_SEED)
-        idx = rng.integers(0, 1 << n, size=PERMUTATION_SAMPLES,
-                           dtype=np.int64)
-    out = circuit_index_map(circuit, idx)
+        sample = rng.integers(0, 1 << n, size=PERMUTATION_SAMPLES,
+                              dtype=np.int64)
+        total = sample.size
     regs = {name: r.qubits for name, r in circuit.registers.items()}
-    # register values as Python ints, converted once
-    ins = [reg_values(idx, n, qs).tolist() for qs in regs.values()]
-    outs = {name: reg_values(out, n, qs).tolist() for name, qs in regs.items()}
-    failures = []
-    for i, row in enumerate(zip(*ins)):
-        vin = dict(zip(regs, row))
-        result = reference(vin)
-        for name, want in result.items():
-            got = outs[name][i]
-            if got != want:
-                failures.append((vin, name, want, got))
-                if len(failures) >= MAX_FAILURES:
-                    return PermutationVerdict(False, idx.shape[0], failures)
-    # the registers left out, in one pass over the bits the circuit moved
-    left_out = [name for name in regs if name not in result]
-    moved = (out ^ idx) & _mask(n, [q for r in left_out for q in regs[r]])
-    for i in np.flatnonzero(moved)[:MAX_FAILURES - len(failures)].tolist():
-        vin = dict(zip(regs, (vals[i] for vals in ins)))
-        failures.extend((vin, name, vin[name], outs[name][i])
+    failures, left = [], []  # the reference's; the left-out registers'
+    for lo in range(0, total, PERMUTATION_CHUNK):
+        hi = min(lo + PERMUTATION_CHUNK, total)
+        idx = (np.arange(lo, hi, dtype=np.int64) if sample is None
+               else sample[lo:hi])
+        out = circuit_index_map(circuit, idx)
+        # register values as Python ints, converted once per chunk
+        ins = [reg_values(idx, n, qs).tolist() for qs in regs.values()]
+        outs = {name: reg_values(out, n, qs).tolist()
+                for name, qs in regs.items()}
+        for i, row in enumerate(zip(*ins)):
+            vin = dict(zip(regs, row))
+            result = reference(vin)
+            for name, want in result.items():
+                got = outs[name][i]
+                if got != want:
+                    failures.append((vin, name, want, got))
+                    if len(failures) >= MAX_FAILURES:
+                        return PermutationVerdict(False, total, failures)
+        # the registers left out, in one pass over the bits the circuit
+        # moved; they come after every failure of the reference
+        left_out = [name for name in regs if name not in result]
+        moved = (out ^ idx) & _mask(n, [q for r in left_out for q in regs[r]])
+        room = max(MAX_FAILURES - len(left), 0)
+        for i in np.flatnonzero(moved)[:room].tolist():
+            vin = dict(zip(regs, (vals[i] for vals in ins)))
+            left.extend((vin, name, vin[name], outs[name][i])
                         for name in left_out if outs[name][i] != vin[name])
-    del failures[MAX_FAILURES:]
-    return PermutationVerdict(not failures, idx.shape[0], failures)
+    failures += left[:MAX_FAILURES - len(failures)]
+    return PermutationVerdict(not failures, total, failures)
 
 
 # -- success projection helpers ----------------------------------------------
@@ -365,10 +423,12 @@ def project_success(state: np.ndarray, circuit: Circuit) -> np.ndarray:
     if ones & zeros:
         return backend.zero_vector(vec.size, 0)
     src, at = backend._split(vec, ones | zeros)
-    kept = src[at(ones)]
+    # a 0-d view where the conditions fix every qubit
+    kept = np.atleast_1d(src[at(ones)])
     nz = np.nonzero(kept)
     out = backend.zero_vector(vec.size, nz[0].size)
-    backend._split(out, ones | zeros)[0][at(ones)][nz] = kept[nz]
+    np.atleast_1d(backend._split(out, ones | zeros)[0][at(ones)])[nz] = \
+        kept[nz]
     return out
 
 

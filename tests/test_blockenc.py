@@ -7,6 +7,8 @@ from schwinger_be import blockenc as be
 from schwinger_be import estimator as est
 from schwinger_be.model import (DenseOperator, ModelParams, benchmark_params,
                                 normalization)
+from schwinger_be.simulate import (_place, block_amplitudes,
+                                   simulate_statevector)
 
 
 def chebyshev_square(encoding: DenseOperator,
@@ -209,8 +211,8 @@ def test_verify_n16_builds_no_dense_matrix(monkeypatch):
 
 
 def test_fragment_past_simulator_refused_early():
-    # N=40 would need 2^40 basis columns; the qubit count is checked first
-    for n in (10, 40):
+    # N=40 would need 2^40 basis columns; the site limit is checked first
+    for n in (12, 40):
         with pytest.raises(be.OutOfRangeError, match="simulation limit"):
             be.fragment_error(benchmark_params(n))
         with pytest.raises(be.OutOfRangeError):
@@ -232,6 +234,25 @@ def test_fragment_exact_at_22_qubits():
     circ, _ = be.fragment_circuit(benchmark_params(6))
     assert circ.n_qubits == 22
     assert be.fragment_error(benchmark_params(6)) <= 1e-10
+
+
+def test_fragment_exact_at_n10():
+    # 29 qubits and 10 column bits: past the dense simulator, within one
+    # sparse run of all 1024 columns
+    rec = be.verify(benchmark_params(10), 1e-2, mode="full-statevector")
+    assert rec.passed and rec.measured_error <= 1e-10
+
+
+def test_fragment_block_equals_a_run_per_column():
+    # one sparse run gives each amplitude the same floating-point
+    # operations as its column's own run
+    for n in (4, 6):
+        circ, _ = be.fragment_circuit(benchmark_params(n))
+        sys_qubits = circ.registers["system"].qubits
+        rows = [_place(circ.n_qubits, sys_qubits, v) for v in range(1 << n)]
+        want = np.stack([simulate_statevector(circ, col)[rows]
+                         for col in rows], axis=1)
+        assert np.array_equal(block_amplitudes(circ, rows, rows), want)
 
 
 def test_verify_eps_domain():

@@ -56,10 +56,9 @@ def test_verify_rejects_odd_n(capsys):
     assert code == 2
 
 
-# the gate-level fragment at N=10 has 29 qubits, past the simulator; at
-# N=40 its 2^40 basis columns must be refused before any is built
+# the gate-level fragment stops at N=10, set by its dense 2^N x 2^N block;
+# at N=40 its 2^40 basis columns must be refused before any is built
 @pytest.mark.parametrize("argv,reason", [
-    (("--N", "10", "--mode", "full-statevector"), "simulation limit"),
     (("--N", "12", "--mode", "full-statevector"), "simulation limit"),
     (("--N", "40", "--mode", "full-statevector"), "simulation limit"),
     (("--N", "18"), "N <= 16"),

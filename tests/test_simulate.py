@@ -12,6 +12,7 @@ import mmap
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,9 +21,10 @@ import pytest
 from schwinger_be import backend, simulate
 from schwinger_be.circuit import Circuit, Gate
 from schwinger_be.simulate import (_MAT_1Q, _bit, _mask, _place, _ry, _rz,
-                                   check_basis_permutation, gate_index_map,
-                                   project_success, reg_values,
-                                   register_weights, simulate_statevector)
+                                   block_amplitudes, check_basis_permutation,
+                                   gate_index_map, project_success,
+                                   reg_values, register_weights,
+                                   simulate_statevector)
 from schwinger_be.subroutines import arithmetic
 
 # -- reference evaluator -------------------------------------------------------
@@ -461,6 +463,12 @@ def _register_circuit():
     return circ
 
 
+def _blank_circuit(n):
+    circ = Circuit()
+    circ.add_register("q", n)
+    return circ
+
+
 @pytest.mark.parametrize("support", [1024, 40])
 def test_register_helpers_match_brute_force(support):
     rng = np.random.default_rng(support)
@@ -588,6 +596,19 @@ def test_project_success_matches_per_condition_projection(monkeypatch):
                 assert got.any() != (conds is conflict)
 
 
+def test_project_success_conditions_on_every_qubit():
+    # the conditions fix all three qubits, so one amplitude can be kept
+    circ = _blank_circuit(3)
+    rng = np.random.default_rng(5)
+    state = _random_state(rng, 3, 8)
+    for conds, kept in (([(0, 1), (1, 0), (2, 1)], 0b101),
+                        ([(2, 0), (0, 0), (1, 0)], 0b000)):
+        circ.metadata["success"] = conds
+        want = np.zeros(8, dtype=complex)
+        want[kept] = state[kept]
+        assert np.array_equal(project_success(state, circ), want)
+
+
 @pytest.mark.skipif(sys.platform != "linux",
                     reason="ru_maxrss is in KiB on Linux only")
 def test_sparse_builder_state_grows_peak_memory_by_its_support():
@@ -661,3 +682,139 @@ def test_permutation_failures_hold_python_ints():
     assert set(vin) == set(circ.registers)
     assert all(type(x) is int for x in (*vin.values(), want, got))
     assert got == (vin["a"] - vin["b"]) % 8
+
+
+# -- the chunked permutation check against one pass over all indices -----------
+
+
+def _unchunked_check(circuit, reference):
+    """The permutation check as one pass: every index mapped, converted to
+    Python ints and compared at once.  The reference for the chunked one."""
+    n = circuit.n_qubits
+    if n <= simulate.EXHAUSTIVE_LIMIT:
+        idx = np.arange(1 << n, dtype=np.int64)
+    else:
+        rng = np.random.default_rng(simulate.PERMUTATION_SEED)
+        idx = rng.integers(0, 1 << n, size=simulate.PERMUTATION_SAMPLES,
+                           dtype=np.int64)
+    out = simulate.circuit_index_map(circuit, idx)
+    regs = {name: r.qubits for name, r in circuit.registers.items()}
+    ins = [reg_values(idx, n, qs).tolist() for qs in regs.values()]
+    outs = {name: reg_values(out, n, qs).tolist() for name, qs in regs.items()}
+    cap = simulate.MAX_FAILURES
+    failures = []
+    for i, row in enumerate(zip(*ins)):
+        vin = dict(zip(regs, row))
+        result = reference(vin)
+        for name, want in result.items():
+            got = outs[name][i]
+            if got != want:
+                failures.append((vin, name, want, got))
+                if len(failures) >= cap:
+                    return simulate.PermutationVerdict(False, idx.size,
+                                                       failures)
+    left_out = [name for name in regs if name not in result]
+    moved = (out ^ idx) & _mask(n, [q for r in left_out for q in regs[r]])
+    for i in np.flatnonzero(moved)[:cap - len(failures)].tolist():
+        vin = dict(zip(regs, (vals[i] for vals in ins)))
+        failures.extend((vin, name, vin[name], outs[name][i])
+                        for name in left_out if outs[name][i] != vin[name])
+    del failures[cap:]
+    return simulate.PermutationVerdict(not failures, idx.size, failures)
+
+
+def _arith_refs(s):
+    """The four arithmetic blocks' references at ``s`` bits."""
+    mod = 1 << s
+    return {
+        "ineq": lambda v: {"out": v["out"] ^ (v["a"] <= v["b"])},
+        "sub": lambda v: {"a": v["a"], "b": (v["a"] - v["b"]) % mod},
+        "una": lambda v: {"z": v["z"] ^ ((1 << v["a"].bit_length()) - 1)},
+        "cswap": lambda v: ({"a": v["b"], "b": v["a"]} if v["ctrl"] == 1
+                            else {"a": v["a"], "b": v["b"]}),
+    }
+
+
+def _wrong_refs(s):
+    """References that fail: on a few indices, on many, and by leaving out
+    a register the circuit moves (alone, or after a few failures of their
+    own that lie past the first left-out ones)."""
+    mod = 1 << s
+    top = mod - 1
+    return {
+        "ineq": [lambda v: {"out": v["out"] ^ (v["a"] < v["b"])}],
+        "sub": [lambda v: {"b": (v["a"] - v["b"] - (v["a"] == top)) % mod},
+                lambda v: {"b": v["b"]}],
+        "una": [lambda v: {"a": v["a"]}],
+        "cswap": [lambda v: {"a": v["b"] if v["ctrl"] == 1 else v["a"]},
+                  lambda v: {"a": (v["b"] if v["ctrl"] == 1 else v["a"])
+                             ^ (v["a"] == top and v["b"] == 1)}],
+    }
+
+
+def test_chunked_permutation_check_matches_one_pass(monkeypatch):
+    # a chunk of 999 indices puts chunk edges between failures, and between
+    # the reference's failures and the left-out registers'
+    monkeypatch.setattr(simulate, "PERMUTATION_CHUNK", 999)
+    kinds = 0
+    for s in range(2, 10):  # 9 bits: the sampled branch
+        for kind, ref in _arith_refs(s).items():
+            circ, _ = arithmetic(kind, s)
+            assert (circ.n_qubits > simulate.EXHAUSTIVE_LIMIT) == (s == 9)
+            for r in (ref, *_wrong_refs(s)[kind]):
+                got = check_basis_permutation(circ, r)
+                assert got == _unchunked_check(circ, r), (kind, s)
+                assert got.ok == (r is ref), (kind, s)
+            kinds += s < 9
+    assert kinds == 28
+
+
+def test_permutation_check_memory_is_set_by_its_chunk():
+    # 2^17 indices: as one pass, the lists of register values peaked at
+    # 9 MiB; a chunk of 4096 indices holds a few hundred KiB
+    circ, _ = arithmetic("cswap", 8)
+    assert circ.n_qubits == simulate.EXHAUSTIVE_LIMIT
+    tracemalloc.start()
+    try:
+        verdict = check_basis_permutation(circ, _arith_refs(8)["cswap"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert verdict.ok and verdict.checked == 1 << 17
+    assert peak <= 2 << 20
+
+
+# -- the columns of one sparse run ---------------------------------------------
+
+
+def test_block_amplitudes_match_a_run_per_column():
+    # every gate kind; inputs repeat and rows read anywhere.  A column run
+    # alone may turn dense, where no amplitude is dropped, so the two agree
+    # to rounding
+    rng = np.random.default_rng(11)
+    for _ in range(12):
+        n = int(rng.integers(9, 12))
+        circ = _random_circuit(rng, n, 30)
+        inputs = rng.integers(1 << n, size=int(rng.integers(1, 7)))
+        rows = rng.integers(1 << n, size=40)
+        want = np.stack([simulate_statevector(circ, int(c))[rows]
+                         for c in inputs], axis=1)
+        got = block_amplitudes(circ, inputs, rows)
+        assert got.shape == (40, inputs.size)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_block_amplitudes_refuse_63_index_bits_before_any_work():
+    wide = _blank_circuit(60)
+    high = [(1 << 60) - 1, 0, 5, 1 << 59]  # 60 qubits and 2 column bits
+    assert np.array_equal(block_amplitudes(wide, high, high), np.eye(4))
+    # 39 qubits and 24 column bits: the 2^24 inputs would take 128 MiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="simulation limit"):
+            block_amplitudes(_blank_circuit(39), range(1 << 24),
+                             range(1 << 24))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 16
