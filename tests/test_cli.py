@@ -56,10 +56,12 @@ def test_verify_rejects_odd_n(capsys):
     assert code == 2
 
 
-# the gate-level fragment stops at N=10, set by its dense 2^N x 2^N block;
-# at N=40 its 2^40 basis columns must be refused before any is built
+# the gate-level fragment stops at N=10, set by its dense 2^N x 2^N block,
+# so N=12 and the CLI's largest N=16 are refused; at N=40 its 2^40 basis
+# columns must be refused before any is built
 @pytest.mark.parametrize("argv,reason", [
     (("--N", "12", "--mode", "full-statevector"), "simulation limit"),
+    (("--N", "16", "--mode", "full-statevector"), "simulation limit"),
     (("--N", "40", "--mode", "full-statevector"), "simulation limit"),
     (("--N", "18"), "N <= 16"),
     (("--N", "40"), "N <= 16"),
