@@ -1,9 +1,9 @@
-"""Full block-encoding assembly and verification.
+"""Full block-encoding costing and verification.
 
-The assembled circuit is a composite-node list (each node carries its exact
-closed-form cost), because the complete construction's ancilla footprint is
-far beyond statevector reach even at N=8.  Verification therefore runs on
-two other paths:
+The complete construction's ancilla footprint is far beyond statevector
+reach even at N=8, and it is not yet wired from gates: ``assemble`` lists
+its twelve blocks in wiring order, each with its closed-form T cost.
+Verification therefore runs on two other paths:
 
 * a semantic evaluator that composes the encoded operators per the LCU
   wiring, with the prefix-map imperfection modeled by its (1-delta)
@@ -19,11 +19,9 @@ from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
-from .circuit import (Circuit, ResourceReport, count_resources,
-                      reflection_cost)
+from .circuit import Circuit, ResourceReport, reflection_cost
 from .estimator import (MIN_SITES, block_encoding_cost, clog2, error_share,
-                        p1_ancillas, p1_cost, p2_ancillas, p2_cost,
-                        select_cost, select_terms)
+                        p1_cost, p2_cost, select_cost, select_terms)
 from .model import (ModelParams, OutOfRangeError, build_hamiltonian, to_dense,
                     normalization, z_diagonal, z_signs)
 from .simulate import _place, block_amplitudes
@@ -32,54 +30,46 @@ from .subroutines import (BRANCH_LABELS, _emit_uni, branch_weights,
 
 
 def assemble(params: ModelParams, eps: float
-             ) -> tuple[Circuit, ResourceReport]:
-    """Wire the encoding: coefficient preparation, four controlled prefix
-    maps, the five controlled SELECTs, and the mid-circuit reflection that
-    squares the prefix-sum block.  Every preparation gets the error share
-    ``error_share(eps, alpha_S)``.  Nodes carry their closed-form costs; the
-    report is ``block_encoding_cost``'s with the T count of the nodes."""
+             ) -> tuple[list[tuple[str, float]], ResourceReport]:
+    """The encoding's blocks in wiring order as (label, T cost) pairs, and
+    ``block_encoding_cost``'s report with their sum, taken in that order,
+    as its T count.  Every preparation gets the error share
+    ``error_share(eps, alpha_S)``.  The blocks act on the registers label
+    (3 qubits), out and prefix (clog2 N each), system (N) and the success
+    flags succ_p1 and succ_p2, each listing its controls first, then a
+    SELECT's address (R0 is the reflection that squares the prefix-sum
+    block)::
+
+        P1, P1.dag    label, out, succ_p1
+        SEL_XX.c3     label; out; system (and SEL_YY.c3)
+        SEL_Z.c2      label[0:2]; out; system
+        cP2, cP2.dag  label[0]; out, prefix, succ_p2
+        SEL_Z2.c3     label[0], succ_p1, succ_p2; prefix; system
+        R0            prefix, label
+        SEL_Z2.c4     label[0:2], succ_p1, succ_p2; prefix; system
+    """
     formula = block_encoding_cost(params, eps)
     n = params.n_sites
-    b = clog2(n)
     e1 = error_share(eps, normalization(params).alpha_s)
-
-    circ = Circuit()
-    label = circ.add_register("label", 3)
-    out = circ.add_register("out", b)
-    ireg = circ.add_register("prefix", b)
-    sys = circ.add_register("system", n)
-    succ1 = circ.add_register("succ_p1", 1)
-    succ2 = circ.add_register("succ_p2", 1)
-    q1 = label[0]
-
     p1c = p1_cost(n, e1)
     cp2c = p2_cost(n, e1, e1, controlled=True)
-
-    def node(kind_label, cost, qubits, anc_r=0, anc_u=0):
-        circ.add("COMPOSITE", qubits, cost_t=float(cost), label=kind_label,
-                 anc_reusable=anc_r, anc_unreusable=anc_u)
-
-    p1_r, p1_u = p1_ancillas(n)
-    node("P1", p1c, label + out + (succ1[0],), anc_r=p1_r, anc_u=p1_u)
-    node("SEL_XX.c3", select_cost("xx", n, 3), label + out + sys, anc_r=b)
-    node("SEL_YY.c3", select_cost("yy", n, 3), label + out + sys, anc_r=b)
-    node("SEL_Z.c2", select_cost("z", n, 2), label[:2] + out + sys, anc_r=b)
-    node("cP2", cp2c, (q1,) + out + ireg + (succ2[0],), anc_r=p2_ancillas(n))
-    node("SEL_Z2.c3", select_cost("z2", n, 3),
-         (q1, succ1[0], succ2[0]) + ireg + sys, anc_r=b)
-    node("cP2.dag", cp2c, (q1,) + out + ireg + (succ2[0],),
-         anc_r=p2_ancillas(n))
-    node("R0", reflection_cost(b + 3), ireg + label, anc_r=b + 1)
-    node("cP2", cp2c, (q1,) + out + ireg + (succ2[0],), anc_r=p2_ancillas(n))
-    node("SEL_Z2.c4", select_cost("z2", n, 4),
-         (q1, label[1], succ1[0], succ2[0]) + ireg + sys, anc_r=b)
-    node("cP2.dag", cp2c, (q1,) + out + ireg + (succ2[0],),
-         anc_r=p2_ancillas(n))
-    node("P1.dag", p1c, label + out + (succ1[0],), anc_r=p1_r)
-
-    tally = count_resources(circ)
-    rep = replace(formula, t_count=tally.t_count, t_real=tally.t_real)
-    return circ, rep
+    blocks = [(label, float(cost)) for label, cost in (
+        ("P1", p1c),
+        ("SEL_XX.c3", select_cost("xx", n, 3)),
+        ("SEL_YY.c3", select_cost("yy", n, 3)),
+        ("SEL_Z.c2", select_cost("z", n, 2)),
+        ("cP2", cp2c),
+        ("SEL_Z2.c3", select_cost("z2", n, 3)),
+        ("cP2.dag", cp2c),
+        ("R0", reflection_cost(clog2(n) + 3)),
+        ("cP2", cp2c),
+        ("SEL_Z2.c4", select_cost("z2", n, 4)),
+        ("cP2.dag", cp2c),
+        ("P1.dag", p1c))]
+    rep = ResourceReport.of(sum(cost for _, cost in blocks),
+                            formula.ancilla_reusable,
+                            formula.ancilla_unreusable, formula.total_qubits)
+    return blocks, rep
 
 
 # -- semantic evaluator ---------------------------------------------------------
@@ -229,8 +219,7 @@ def fragment_circuit(params: ModelParams) -> tuple[Circuit, float]:
     # P1's labels without their top qubit, which is 0 on these branches
     for kind in ("xx", "yy", "z"):
         circ.add("SEL_" + kind.upper(), (l1, l2) + out + sys, splits=(2, b),
-                 n_terms=select_terms(kind, n), pattern=BRANCH_LABELS[kind],
-                 cost_t=0.0)
+                 n_terms=select_terms(kind, n), pattern=BRANCH_LABELS[kind])
     circ.extend(invert_gates(prep_gates))
     for h in (u_hop, u_mass):
         if h.cmp_name is not None:

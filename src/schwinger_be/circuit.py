@@ -9,12 +9,16 @@ tally equals its formula: ``rotation_cost`` (a single-qubit rotation
 synthesized to operator norm error eps costs 4*ceil(log2(1/eps)) + C with
 C = 5 + 4*log2(1+sqrt(2)), eps = ``ROTATION_EPSILON`` for a rotation that
 carries no budget), ``reflection_cost`` (an s-qubit reflection about a basis
-pattern costs 4s-8, and nothing below s = 2), and by bit width
+pattern costs 4s-8, and nothing below s = 2), by bit width
 ``ineq_cost`` (comparator), ``sub_cost`` (subtractor, constant adder,
 leading-zero unary mask) and ``cswap_cost`` (a swap under one control, or
-two if ``controlled``).  Inverses of out-of-place arithmetic are free and
-are tagged with ``inverse=True`` so the tally honors that.  Costs add as
-reals; ``ResourceReport.of`` ceils the total.
+two if ``controlled``), and ``unary_iteration_cost`` (a SELECT over L
+terms under c controls costs 4(L-1) + 4(c-1), Babbush et al.,
+arXiv:1805.03662, and nothing for no terms).  Every kind is priced by
+these rules from the gate's own fields; no gate carries its own price.
+Inverses of out-of-place arithmetic are free and are tagged with
+``inverse=True`` so the tally honors that.  Costs add as reals;
+``ResourceReport.of`` ceils the total.
 
 Serialization is line oriented (one gate per line) so circuits can be stored
 as golden files::
@@ -44,7 +48,7 @@ PERMUTATION_KINDS = frozenset(
     {"X", "CNOT", "TOFFOLI", "MCX", "SWAP", "CSWAP", "CCSWAP"}) | ARITH
 KINDS = (CLIFFORD | ROTATIONS | CTRL_ROTATIONS | ARITH | SELECTS
          | {"T", "TOFFOLI", "MCX", "CH", "CSWAP", "CCSWAP", "REFLECT",
-            "PHASE0", "COMPOSITE"})
+            "PHASE0"})
 #: kind of a gate with one more control, put first among its qubits; a
 #: REFLECT or PHASE0 takes it as the top bit of its pattern
 CONTROLLED = {"X": "CNOT", "CNOT": "TOFFOLI", "H": "CH", "RY": "CRY",
@@ -68,9 +72,7 @@ class Gate:
     inverse: bool = False
     charged: bool = True
     ctrl_rot: bool = False      # PHASE0 with a controlled phase (2 rotations)
-    cost_t: float = -1.0        # explicit annotation; negative => derive
-    anc_reusable: int = 0       # transient scratch inside composite gates
-    anc_unreusable: int = 0
+    anc_reusable: int = 0       # transient scratch inside the gate
     label: str = ""
 
 
@@ -97,12 +99,14 @@ def cswap_cost(s: int, controlled: bool = False) -> int:
     return 7 * s + (4 if controlled else 0)
 
 
+def unary_iteration_cost(terms: int, controls: int) -> int:
+    return max(4 * (terms - 1) + 4 * (controls - 1), 0) if terms else 0
+
+
 def gate_cost(g: Gate) -> float:
     """T cost of one gate under the conventions of the module docstring."""
     if not g.charged:
         return 0.0
-    if g.cost_t >= 0:
-        return g.cost_t
     k = g.kind
     if k in CLIFFORD:
         return 0.0
@@ -130,8 +134,8 @@ def gate_cost(g: Gate) -> float:
         return sub_cost(g.width)
     if k in ("CSWAP", "CCSWAP"):
         return cswap_cost(g.width, controlled=k == "CCSWAP")
-    if k in SELECTS or k == "COMPOSITE":
-        raise ValueError(f"{k} gate requires an explicit cost annotation")
+    if k in SELECTS:  # splits[0] is the control count
+        return unary_iteration_cost(g.n_terms, g.splits[0])
     raise ValueError(f"unknown gate kind {k}")
 
 
@@ -260,7 +264,7 @@ class Circuit:
         """(peak reusable ancillas, unreusable ancillas, peak live qubits).
 
         Per-gate ``anc_reusable`` annotations count scratch space that lives
-        only inside a composite gate; it adds to whatever registers are live
+        only inside that gate; it adds to whatever registers are live
         at that moment, so peaks are maxima, never sums.
         """
         live_reuse = peak_reuse = 0
@@ -285,7 +289,6 @@ class Circuit:
                 if g.anc_reusable:
                     peak_reuse = max(peak_reuse, live_reuse + g.anc_reusable)
                     peak_total = max(peak_total, live_total + g.anc_reusable)
-                unreusable_total += g.anc_unreusable
         return peak_reuse, unreusable_total, peak_total
 
 
@@ -315,12 +318,9 @@ def _text(value) -> str:
 _FIELDS = (("angle", "angle", float), ("eps", "eps", float),
            ("width", "width", int), ("splits", "splits", _ints),
            ("const", "const", int), ("pattern", "pattern", int),
-           ("n_terms", "n_terms", int), ("cost_t", "cost_t", float),
-           ("inverse", "inverse", None), ("charged", "uncharged", None),
-           ("ctrl_rot", "ctrl_rot", None),
-           ("anc_reusable", "anc_reusable", int),
-           ("anc_unreusable", "anc_unreusable", int),
-           ("label", "label", str))
+           ("n_terms", "n_terms", int), ("inverse", "inverse", None),
+           ("charged", "uncharged", None), ("ctrl_rot", "ctrl_rot", None),
+           ("anc_reusable", "anc_reusable", int), ("label", "label", str))
 _DEFAULTS = {f.name: f.default for f in fields(Gate)}
 _BY_KEY = {key: (name, parse) for name, key, parse in _FIELDS}
 

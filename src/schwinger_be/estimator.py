@@ -4,7 +4,7 @@ The formula layer mirrors the construction layer one-to-one: every
 subroutine builder has one cost expression here, and the full
 block-encoding, time-evolution, and vacuum-persistence estimates compose
 them exactly the way the circuits compose.  The leaf prices (rotations,
-reflections, comparators, subtractors, swaps) are the functions of
+reflections, comparators, subtractors, swaps, SELECTs) are the functions of
 :mod:`schwinger_be.circuit` that its gate tally calls.  As a builder applies
 its control gate by gate through ``subroutines._control``, a controlled
 closed form is the uncontrolled one plus the increments ``_control``
@@ -26,7 +26,8 @@ import sys
 from dataclasses import dataclass
 
 from .circuit import (C_ROT, ResourceReport, cswap_cost, ineq_cost,
-                      reflection_cost, rotation_cost, sub_cost)
+                      reflection_cost, rotation_cost, sub_cost,
+                      unary_iteration_cost)
 from .model import (ModelParams, OutOfRangeError, benchmark_params,
                     normalization)
 
@@ -162,11 +163,11 @@ def select_terms(kind: str, n: int) -> int:
 
 
 def select_cost(kind: str, n: int, controls: int) -> int:
-    """Unary iteration over L terms under c controls: 4(L-1) + 4(c-1)
-    (Babbush et al., arXiv:1805.03662)."""
+    """One of the encoding's SELECTs on N sites, priced by
+    ``unary_iteration_cost`` over its ``select_terms``."""
     if (kind, controls) not in SELECT_VARIANTS:
         raise ValueError(f"unsupported SELECT variant ({kind}, {controls} controls)")
-    return 4 * (select_terms(kind, n) - 1) + 4 * (controls - 1)
+    return unary_iteration_cost(select_terms(kind, n), controls)
 
 
 # -- block-encoding / evolution / end-to-end ----------------------------------

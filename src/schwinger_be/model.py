@@ -183,12 +183,17 @@ def build_hamiltonian(params: ModelParams) -> HamiltonianTerms:
         z_squared=tuple(z_squared), constant_shift=shift)
 
 
+def sum_of_squares(n: int) -> int:
+    """1^2 + 2^2 + ... + (n-1)^2."""
+    return (n - 1) * n * (2 * n - 1) // 6
+
+
 def normalization(params: ModelParams) -> NormalizationConstants:
     n = params.n_sites  # even, so 2, 4 .. N-2 and 1, 3 .. N-1
     m = (n - 2) // 2
     s1 = float(m * (m + 1))
     s2 = float((n // 2) ** 2)
-    s3 = float((n - 1) * n * (2 * n - 1) // 6)
+    s3 = float(sum_of_squares(n))
     th = params.theta / (2 * math.pi)
     alpha = (params.w * (n - 1) + params.mass / 2 * n
              + params.j * th * s1 + (params.j * th + params.j / 2) * s2

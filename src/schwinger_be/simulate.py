@@ -220,9 +220,6 @@ def _apply(state, g: Gate, n: int, out=None):
     """``g`` applied to ``state``.  A dense ``state`` is updated in place,
     or, given ``out``, left as it is and the result written to ``out``."""
     k = g.kind
-    if k == "COMPOSITE":
-        raise ValueError("composite nodes carry costs only and cannot "
-                         "be simulated")
     if k in SELECTS:
         return _apply_select(state, g, n, out)
     if k in PERMUTATION_KINDS:

@@ -42,7 +42,7 @@ from .circuit import (CONTROLLED, UNCONTROLLED, Circuit, Gate,
                       ResourceReport, count_resources)
 from .estimator import (amplification_rounds, check_encoding_size, clog2,
                         factor_two, select_cost, select_terms)
-from .model import ModelParams, normalization
+from .model import ModelParams, normalization, sum_of_squares
 
 
 def _name(circ: "Circuit", tag: str) -> str:
@@ -475,8 +475,8 @@ def p_s2(n: int, eps: float, controlled: bool = False,
 
 
 def ps3_amplitude(n: int) -> float:
-    """Pre-amplification success amplitude sqrt((N-1)N(2N-1)/6N^3)."""
-    return math.sqrt((n - 1) * n * (2 * n - 1) / (6.0 * n ** 3))
+    """Pre-amplification success amplitude sqrt((1^2 + ... + (N-1)^2)/N^3)."""
+    return math.sqrt(sum_of_squares(n) / n ** 3)
 
 
 def _emit_ps3(circ: Circuit, out, n: int, eps: float, *,
@@ -488,8 +488,7 @@ def _emit_ps3(circ: Circuit, out, n: int, eps: float, *,
     b = clog2(n)
     amp = ps3_amplitude(n)
     assert amp > 0.5
-    theta = 2 * math.asin(
-        math.sqrt(3 * n ** 3 / (2 * n * (n - 1) * (2 * n - 1))))
+    theta = 2 * math.asin(math.sqrt(n ** 3 / (4 * sum_of_squares(n))))
 
     nprime = _take_junk(circ, junk, b, f"{tag}np")
     c = _take_junk(circ, junk, 1, f"{tag}c")[0]
@@ -705,17 +704,17 @@ def select(kind: str, n: int, controls: int) -> tuple[Circuit, ResourceReport]:
 
     Applies X_a X_{a+1} / Y_a Y_{a+1} / (-1)^a Z_a / Z_a on the system for
     address a; identity when the address is out of range or the control
-    pattern does not match.
+    pattern does not match.  ``circuit.gate_cost`` prices the gate from
+    its term and control counts.
     """
-    cost = select_cost(kind, n, controls)  # raises on an unknown variant
+    select_cost(kind, n, controls)  # raises on an unknown variant
     circ = Circuit()
     ctl = circ.add_register("ctrl", controls)
     addr = circ.add_register("addr", clog2(n))
     sys = circ.add_register("system", n)
     circ.add("SEL_" + kind.upper(), tuple(ctl) + tuple(addr) + tuple(sys),
              splits=(controls, clog2(n)), n_terms=select_terms(kind, n),
-             pattern=(1 << controls) - 1, cost_t=float(cost),
-             anc_reusable=clog2(n))
+             pattern=(1 << controls) - 1, anc_reusable=clog2(n))
     circ.metadata["output"] = "system"
     return _report(circ)
 

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from schwinger_be.circuit import (C_ROT, Circuit, Gate, count_resources,
-                                  dumps, gate_cost, loads)
+from schwinger_be.circuit import (ARITH, C_ROT, KINDS, SELECTS, Circuit,
+                                  Gate, count_resources, dumps, gate_cost,
+                                  loads, unary_iteration_cost)
 from schwinger_be.simulate import (check_basis_permutation,
                                    simulate_statevector)
 
@@ -25,6 +26,22 @@ def test_rotation_log_is_ceiled():
     assert gate_cost(Gate("CRY", (0, 1), eps=1e-2)) == pytest.approx(
         2 * (28 + C_ROT))
     assert gate_cost(Gate("RY", (0,))) == pytest.approx(4 * 34 + C_ROT)
+
+
+def test_every_kind_priced_by_rule():
+    # one gate of each kind with the fields its builders set, and no price
+    for kind in sorted(KINDS):
+        if kind in SELECTS:  # 8 terms under 3 controls, 3 address bits
+            g = Gate(kind, tuple(range(14)), splits=(3, 3), n_terms=8)
+        elif kind in ARITH or kind in ("CSWAP", "CCSWAP"):
+            g = Gate(kind, tuple(range(8)), width=3)
+        else:
+            g = Gate(kind, (0, 1, 2, 3), eps=1e-3)
+        cost = gate_cost(g)
+        assert math.isfinite(cost) and cost >= 0, kind
+        if kind in SELECTS:
+            assert cost == unary_iteration_cost(8, 3) == 4 * 7 + 4 * 2
+    assert unary_iteration_cost(0, 3) == unary_iteration_cost(1, 0) == 0
 
 
 def test_clifford_only_costs_nothing():
@@ -210,15 +227,15 @@ def test_serialization_roundtrip_every_field():
     circ = Circuit()
     circ.add_register("q", 4)
     circ.add("PHASE0", (0, 1, 2), angle=-0.5, eps=1e-3, width=5,
-             splits=(1, 2), const=-3, pattern=0b101, n_terms=7, cost_t=2.5,
+             splits=(1, 2), const=-3, pattern=0b101, n_terms=7,
              inverse=True, charged=False, ctrl_rot=True, anc_reusable=2,
-             anc_unreusable=1, label="node")
+             label="node")
     circ.add("H", (3,))
     text = dumps(circ)
     assert text.splitlines()[2] == (
         "gate PHASE0 0,1,2 angle=-0.5 eps=0.001 width=5 splits=1,2 const=-3 "
-        "pattern=5 n_terms=7 cost_t=2.5 inverse uncharged ctrl_rot "
-        "anc_reusable=2 anc_unreusable=1 label=node")
+        "pattern=5 n_terms=7 inverse uncharged ctrl_rot anc_reusable=2 "
+        "label=node")
     assert loads(text).gates == circ.gates
 
 

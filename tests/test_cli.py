@@ -276,7 +276,8 @@ def test_output_file(tmp_path, capsys):
 
 
 #: sha256 of artifacts whose bytes do not depend on the BLAS build; verify
-#: in block mode and dynamics are left out, as their low digits can vary
+#: in full-statevector mode and dynamics are left out, as their low digits
+#: can vary (the semantic verify runs no LAPACK)
 ARTIFACT_SHA256 = {
     ("estimate",):
         "66b706fa2aad88a3784f5a032f97fc81737cf1a13dd26b0edfc1a8c045af989f",
@@ -292,6 +293,10 @@ ARTIFACT_SHA256 = {
         "83c42f3be44f66c8061869882bf1cc93014e4137b9b43ce6da2e269e8927d8df",
     ("ae", "--runs", "20", "--seed", "5"):
         "45b7fb02f0a94856d612be3735ce14d753cfdfb038684cc2d07bd206ebdce59d",
+    ("verify",):
+        "63456855e5129f47222f1848a008ae7405e795efc21eb5bc9fef6b59111585a5",
+    ("verify", "--N", "16", "--epsilon", "0"):
+        "dffaa55fbc6dba141eab6dbc3083dca19c3b2aa7a9cfdf0d0cb9bc93654ed96d",
 }
 
 

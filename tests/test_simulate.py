@@ -170,8 +170,7 @@ def _random_gate(rng, kind, n):
         terms = int(rng.integers(1, (1 << ba) + 1))
         n_sys = terms + (kind in ("SEL_XX", "SEL_YY"))
         return Gate(kind, pick(nc + ba + n_sys), splits=(nc, ba),
-                    n_terms=terms, pattern=int(rng.integers(-1, 1 << nc)),
-                    cost_t=0.0)
+                    n_terms=terms, pattern=int(rng.integers(-1, 1 << nc)))
     return Gate(kind, pick(N_OPERANDS.get(kind, 1)), angle=angle)
 
 
@@ -431,8 +430,8 @@ def test_simulator_keeps_input_and_checks():
               Gate("REFLECT", (0, 5, 13), pattern=-1),
               Gate("PHASE0", (4, 11), pattern=2, angle=0.9),
               Gate("SEL_YY", (1, 2, 6, 7, 10), splits=(1, 1), n_terms=2,
-                   pattern=1, cost_t=0.0),
-              Gate("SEL_Z", (1, 2, 6), splits=(1, 1), n_terms=0, cost_t=0.0),
+                   pattern=1),
+              Gate("SEL_Z", (1, 2, 6), splits=(1, 1), n_terms=0),
               Gate("ADDC", (2, 5, 6, 7, 12), width=5, const=11),
               Gate("CNOT", (4, 8))):
         one = Circuit()
@@ -447,9 +446,8 @@ def test_simulator_keeps_input_and_checks():
         simulate_statevector(circ, 8)
     with pytest.raises(ValueError):
         simulate_statevector(circ, np.ones(4))
-    circ.add("COMPOSITE", (0, 1), cost_t=1.0)
-    with pytest.raises(ValueError):
-        simulate_statevector(circ)
+    with pytest.raises(ValueError, match="unknown gate kind"):
+        circ.add("COMPOSITE", (0, 1))  # no kind carries costs only
 
 
 def _register_circuit():

@@ -16,8 +16,10 @@ pairs the change wins. The claimed workload is written under its own name,
 the others under ``other_workloads``; every workload runs ``--pairs``
 pairs, at least ten. After its pairs, each workload runs once more per
 side with ``--trace 1 --seed 1``, which replays every gate through the
-simulator one at a time, and the file records whether that run was
-correct. Every incorrect run, traced or not, is listed under its workload's
+simulator one at a time, and the file records under ``traced``, per side,
+whether that run was correct and its ``trace.unattributed_s`` and
+``trace.overhead_s``, which the worker's self-time check compares. Every
+incorrect run, traced or not, is listed under its workload's
 ``incorrect_runs`` with its side, seed and trace flag, each distinct
 ``check failed:`` line of its standard error with the number of times it
 was printed, and the last 20 lines of that standard error, which hold the
@@ -104,14 +106,16 @@ def run_pairs(trees: dict, workload: str, pairs: int, seconds: int,
     for side in SIDES:
         print(f"{workload} traced: {side}", file=sys.stderr)
         run = run_once(trees[side], workload, 1, seconds, trace=1)
-        traced[side] = run["correct"]
+        traced[side] = {"correct": run["correct"], **{
+            m: run["metrics"][m]["value"]
+            for m in ("trace.unattributed_s", "trace.overhead_s")}}
         if not run["correct"]:
             bad.append(incorrect(side, 1, 1, run))
     return {
         "pairs": pairs, "seeds": list(range(1, pairs + 1)),
         "correct": all(r["correct"] for side in SIDES
                        for r in results[side]),
-        "traced_correct": traced,
+        "traced": traced,
         "incorrect_runs": bad,
         "failed_operations": {side: sum(r["failed"] for r in results[side])
                               for side in SIDES},
@@ -168,10 +172,10 @@ def main(argv=None) -> int:
     path.write_text(json.dumps(out, indent=2) + "\n")
     print(f"wrote {path}", file=sys.stderr)
     workloads = [out[args.workload], *out.get("other_workloads", {}).values()]
-    if all(w["correct"] and all(w["traced_correct"].values())
+    if all(w["correct"] and all(t["correct"] for t in w["traced"].values())
            for w in workloads):
         return 0
-    print("an incorrect run: see correct and traced_correct", file=sys.stderr)
+    print("an incorrect run: see correct and traced", file=sys.stderr)
     return 1
 
 
