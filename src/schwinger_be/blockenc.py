@@ -14,7 +14,6 @@ Verification therefore runs on two other paths:
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, asdict, replace
 
 import numpy as np
@@ -23,10 +22,10 @@ from .circuit import Circuit, ResourceReport, reflection_cost
 from .estimator import (MIN_SITES, block_encoding_cost, clog2, error_share,
                         p1_cost, p2_cost, select_cost, select_terms)
 from .model import (ModelParams, OutOfRangeError, build_hamiltonian, to_dense,
-                    normalization, z_diagonal, z_signs)
+                    normalization, ordered_sum, z_diagonal, z_signs)
 from .simulate import _place, block_amplitudes
 from .subroutines import (BRANCH_LABELS, _emit_uni, branch_weights,
-                          invert_gates)
+                          invert_gates, splitter_angle)
 
 
 def assemble(params: ModelParams, eps: float
@@ -66,7 +65,7 @@ def assemble(params: ModelParams, eps: float
         ("SEL_Z2.c4", select_cost("z2", n, 4)),
         ("cP2.dag", cp2c),
         ("P1.dag", p1c))]
-    rep = ResourceReport.of(sum(cost for _, cost in blocks),
+    rep = ResourceReport.of(ordered_sum(cost for _, cost in blocks),
                             formula.ancilla_reusable,
                             formula.ancilla_unreusable, formula.total_qubits)
     return blocks, rep
@@ -96,13 +95,11 @@ def semantic_diagonal(params: ModelParams, delta: float,
     error; 0 for the exact encoding): each prefix block becomes
     (1-delta) M_n + delta I, and the squared branch squares that."""
     prefix = np.cumsum(zs, axis=0)  # prefix[k] = sum_{i<=k} Z_i
-    th = params.theta / (2 * math.pi)
     j = params.j
     diag = np.zeros(zs.shape[1])
     for outer in range(1, params.n_sites):
         m_n = (1 - delta) * prefix[outer - 1] / outer + delta
-        coeff = j * th if outer % 2 == 0 else j * (0.5 + th)
-        diag += coeff * outer * m_n
+        diag += j * params.rung(outer) * outer * m_n
         diag += j / 8 * outer ** 2 * (2 * m_n ** 2 - 1)
     return diag
 
@@ -202,8 +199,8 @@ def fragment_circuit(params: ModelParams) -> tuple[Circuit, float]:
     sys = circ.add_register("system", n)
 
     prep0 = len(circ.gates)
-    circ.add("RY", (l1,), angle=2 * math.atan2(
-        math.sqrt(wts["z"]), math.sqrt(wts["xx"] + wts["yy"])))
+    circ.add("RY", (l1,), angle=splitter_angle(wts["xx"] + wts["yy"],
+                                               wts["z"]))
     circ.add("X", (l1,))
     circ.add("CH", (l1, l2))
     circ.add("X", (l1,))

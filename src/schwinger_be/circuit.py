@@ -36,6 +36,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
+from .model import ordered_sum
+
 C_ROT = 5 + 4 * math.log2(1 + math.sqrt(2))
 ROTATION_EPSILON = 1e-10  # synthesis error of a rotation that carries no eps
 
@@ -293,7 +295,7 @@ class Circuit:
 
 
 def count_resources(circuit: Circuit) -> ResourceReport:
-    return ResourceReport.of(sum(gate_cost(g) for g in circuit.gates),
+    return ResourceReport.of(ordered_sum(map(gate_cost, circuit.gates)),
                              *circuit.ancilla_profile())
 
 

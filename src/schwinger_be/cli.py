@@ -13,7 +13,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import asdict
 
@@ -31,15 +30,6 @@ ESTIMATE_COLUMNS = ["n_sites", "wt", "epsilon", "t_count", "runtime_days",
 DYNAMICS_COLUMNS = ["t", "re_g", "im_g", "abs_g", "nu"]
 PHYSICAL_COLUMNS = ["n_sites", "wt", "p_phys", "t_count", "code_distance",
                     "logical_qubits", "physical_qubits"]
-
-
-def _default_seed() -> int:
-    text = os.environ.get("SCHWINGER_BE_SEED", "0")
-    try:
-        return int(text)
-    except ValueError:
-        raise OutOfRangeError(f"SCHWINGER_BE_SEED must be an integer, "
-                              f"got {text!r}") from None
 
 
 def _emit(args, text: str) -> None:
@@ -163,12 +153,11 @@ def cmd_ae(args) -> int:
         raise OutOfRangeError("omega needs a value and runs must be >= 1")
     for om in omegas:  # the whole list, before any run
         ae.check_omega(om)
-    seed = args.seed if args.seed is not None else _default_seed()
     lines = []
     summary = {}
     for i, om in enumerate(omegas):
         runs = [ae.simulate_adaptive_ae(om, args.epsilon, args.delta,
-                                        seed + 100_000 * i + r)
+                                        args.seed + 100_000 * i + r)
                 for r in range(args.runs)]
         for r in runs:
             lines.append(json.dumps(
@@ -212,6 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--output", help="write to file instead of stdout")
+
+    def table(p):
+        common(p)
         p.add_argument("--format", choices=("csv", "json"), default="csv")
 
     p = sub.add_parser("estimate", help="end-to-end T counts and runtimes")
@@ -219,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wt", type=float, nargs="*")
     p.add_argument("--rate", type=float, default=estimator.DEFAULT_T_RATE,
                    help="T gates per second for runtime conversion")
-    common(p)
+    table(p)
     p.set_defaults(fn=cmd_estimate)
 
     p = sub.add_parser("verify", help="construction-level verification")
@@ -237,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=4)
     p.add_argument("--t-max", type=float, default=4.0)
     p.add_argument("--steps", type=int, default=41)
-    common(p)
+    table(p)
     p.set_defaults(fn=cmd_dynamics)
 
     p = sub.add_parser("ae", help="amplitude-estimation query simulation")
@@ -245,8 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--omega", type=float, nargs="*")
     p.add_argument("--runs", type=int, default=100)
-    p.add_argument("--seed", type=int, default=None,
-                   help="default from SCHWINGER_BE_SEED")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--hoeffding", action="store_true",
                    help="print the closed-form query counts only")
     common(p)
@@ -256,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, nargs="*")
     p.add_argument("--wt", type=float, default=10.0)
     p.add_argument("--p-phys", type=float, nargs="*")
-    common(p)
+    table(p)
     p.set_defaults(fn=cmd_physical)
     return ap
 

@@ -162,11 +162,16 @@ def select_terms(kind: str, n: int) -> int:
     return n - 1 if kind in ("xx", "yy") else n
 
 
+def check_select_variant(kind: str, controls: int) -> None:
+    """Raise ``ValueError`` unless (kind, controls) is a SELECT_VARIANT."""
+    if (kind, controls) not in SELECT_VARIANTS:
+        raise ValueError(f"unsupported SELECT variant ({kind}, {controls} controls)")
+
+
 def select_cost(kind: str, n: int, controls: int) -> int:
     """One of the encoding's SELECTs on N sites, priced by
     ``unary_iteration_cost`` over its ``select_terms``."""
-    if (kind, controls) not in SELECT_VARIANTS:
-        raise ValueError(f"unsupported SELECT variant ({kind}, {controls} controls)")
+    check_select_variant(kind, controls)
     return unary_iteration_cost(select_terms(kind, n), controls)
 
 

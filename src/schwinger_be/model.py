@@ -21,8 +21,9 @@ with the same coefficient, or a string off the diagonal.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -32,6 +33,12 @@ SECTOR_LIMIT = 14
 
 class OutOfRangeError(ValueError):
     """An input outside its rule's domain: a usage error, not a fault."""
+
+
+def ordered_sum(values) -> float:
+    """Left-to-right float total from 0.0, the same on every Python: from
+    CPython 3.12 on, the builtin ``sum`` compensates float rounding."""
+    return reduce(operator.add, values, 0.0)
 
 
 def _check_limit(n: int, limit: int, kind: str) -> None:
@@ -63,6 +70,13 @@ class ModelParams:
     @property
     def j(self) -> float:
         return self.coupling ** 2 * self.spacing / 2.0
+
+    @property
+    def th(self) -> float:  # the background field in units of 2 pi
+        return self.theta / (2 * math.pi)
+
+    def rung(self, outer: int) -> float:  # ladder coefficient over J
+        return 0.5 + self.th if outer % 2 else self.th
 
 
 #: Benchmark parameter point used for all headline estimates.
@@ -110,7 +124,8 @@ class HamiltonianTerms:
 
 @dataclass(frozen=True)
 class NormalizationConstants:
-    alpha_s: float
+    alpha_s: float  # the left-to-right sum of the weights
+    weights: dict[str, float]  # the six branches' LCU weights, P1 loads them
     alpha_s1: float  # sum of even l in 1..N-1
     alpha_s2: float  # sum of odd l in 1..N-1
     alpha_s3: float  # sum of l^2 in 1..N-1
@@ -136,7 +151,6 @@ def build_hamiltonian(params: ModelParams) -> HamiltonianTerms:
     Hamiltonian that the block-encoding targets."""
     n = params.n_sites
     w, j, m = params.w, params.j, params.mass
-    th = params.theta / (2 * math.pi)
 
     xx = tuple(PauliString(w / 2, _string(n, {i: "X", i + 1: "X"}))
                for i in range(n - 1))
@@ -145,19 +159,17 @@ def build_hamiltonian(params: ModelParams) -> HamiltonianTerms:
     z = tuple(PauliString(m / 2 * (-1) ** i, _string(n, {i: "Z"}))
               for i in range(n))
 
-    z_even = []
-    z_odd = []
+    z_even, z_odd, z_squared = [], [], []
+    shift = 0.0
     if j != 0:
+        shift = (j / 8 * normalization(params).alpha_s3
+                 + j * ordered_sum(params.rung(k) ** 2 for k in range(1, n)))
         for outer in range(1, n):
-            coeff = j * th if outer % 2 == 0 else j * (0.5 + th)
+            coeff = j * params.rung(outer)
             group = z_even if outer % 2 == 0 else z_odd
             if coeff != 0:
                 for i in range(outer):
                     group.append(PauliString(coeff, _string(n, {i: "Z"})))
-
-    z_squared = []
-    if j != 0:
-        for outer in range(1, n):
             # the encoded squared term is the Chebyshev-shifted square
             # (j/8) outer^2 (2 M^2 - I) with M = (1/outer) sum_{i<outer} Z_i,
             # i.e. (j/4)(sum Z_i)^2 - (j/8) outer^2; expanding the square
@@ -169,13 +181,6 @@ def build_hamiltonian(params: ModelParams) -> HamiltonianTerms:
                 for k in range(i + 1, outer):
                     z_squared.append(
                         PauliString(j / 2, _string(n, {i: "Z", k: "Z"})))
-
-    shift = 0.0
-    if j != 0:
-        shift += j / 8 * normalization(params).alpha_s3
-        shift += j * sum(
-            (0.5 * (1 + (-1) ** (outer - 1)) / 2 + th) ** 2
-            for outer in range(1, n))
 
     return HamiltonianTerms(
         n_sites=n, xx=xx, yy=yy, z=z,
@@ -194,12 +199,12 @@ def normalization(params: ModelParams) -> NormalizationConstants:
     s1 = float(m * (m + 1))
     s2 = float((n // 2) ** 2)
     s3 = float(sum_of_squares(n))
-    th = params.theta / (2 * math.pi)
-    alpha = (params.w * (n - 1) + params.mass / 2 * n
-             + params.j * th * s1 + (params.j * th + params.j / 2) * s2
-             + params.j / 8 * s3)
-    return NormalizationConstants(alpha_s=alpha, alpha_s1=s1,
-                                  alpha_s2=s2, alpha_s3=s3)
+    j, th = params.j, params.th
+    wts = {"xx": params.w * (n - 1) / 2, "yy": params.w * (n - 1) / 2,
+           "z": params.mass * n / 2, "zeven": j * th * s1,
+           # not j rung(1): that rounds apart for ~29% of (J, theta)
+           "zodd": (j * th + j / 2) * s2, "zsq": j / 8 * s3}
+    return NormalizationConstants(ordered_sum(wts.values()), wts, s1, s2, s3)
 
 
 def to_dense(terms: HamiltonianTerms,
@@ -341,7 +346,7 @@ def vacuum_observables(params: ModelParams, t: float) -> tuple[complex,
     n = params.n_sites
     psi, vac, zs = _evolved_vacuum(params, t)
     zexp = np.sum(np.abs(psi) ** 2 * zs, axis=1).tolist()
-    nu = sum((-1) ** s * zexp[s] + 1 for s in range(n)) / (2 * n)
+    nu = ordered_sum((-1) ** s * zexp[s] + 1 for s in range(n)) / (2 * n)
     return complex(psi[vac]), nu
 
 

@@ -40,8 +40,8 @@ import numpy as np
 
 from .circuit import (CONTROLLED, UNCONTROLLED, Circuit, Gate,
                       ResourceReport, count_resources)
-from .estimator import (amplification_rounds, check_encoding_size, clog2,
-                        factor_two, select_cost, select_terms)
+from .estimator import (amplification_rounds, check_encoding_size,
+                        check_select_variant, clog2, factor_two, select_terms)
 from .model import ModelParams, normalization, sum_of_squares
 
 
@@ -707,7 +707,7 @@ def select(kind: str, n: int, controls: int) -> tuple[Circuit, ResourceReport]:
     pattern does not match.  ``circuit.gate_cost`` prices the gate from
     its term and control counts.
     """
-    select_cost(kind, n, controls)  # raises on an unknown variant
+    check_select_variant(kind, controls)
     circ = Circuit()
     ctl = circ.add_register("ctrl", controls)
     addr = circ.add_register("addr", clog2(n))
@@ -723,19 +723,17 @@ def select(kind: str, n: int, controls: int) -> tuple[Circuit, ResourceReport]:
 
 
 def branch_weights(params: ModelParams) -> dict[str, float]:
-    """Unnormalized squared amplitudes of the six coefficient branches."""
-    n = params.n_sites
-    nc = normalization(params)
-    th = params.theta / (2 * math.pi)
-    w = {"xx": params.w * (n - 1) / 2,
-         "yy": params.w * (n - 1) / 2,
-         "z": params.mass * n / 2,
-         "zeven": params.j * th * nc.alpha_s1,
-         "zodd": (params.j * th + params.j / 2) * nc.alpha_s2,
-         "zsq": params.j / 8 * nc.alpha_s3}
+    """Unnormalized squared amplitudes of the six coefficient branches:
+    ``normalization``'s weights, whose sum is alpha_S."""
+    w = normalization(params).weights
     if any(v < -1e-15 for v in w.values()):
         raise ValueError("negative branch weight; check the couplings")
     return w
+
+
+def splitter_angle(w0: float, w1: float) -> float:
+    """RY angle taking |0> to amplitudes sqrt(w0), sqrt(w1), normalized."""
+    return 2 * math.atan2(math.sqrt(w1), math.sqrt(w0))
 
 
 #: label values of the six branches (q1 q2 q3)
@@ -766,14 +764,13 @@ def p1(params: ModelParams, eps: float, short_circuit: bool = True
             circ.add("X", (q,))
 
     # splitter
-    circ.add("RY", (q1,), eps=e,
-             angle=2 * math.atan2(math.sqrt(b_grp), math.sqrt(a_grp)))
+    circ.add("RY", (q1,), eps=e, angle=splitter_angle(a_grp, b_grp))
     neg(q1)
-    circ.add("CRY", (q1, q2), eps=e, angle=2 * math.atan2(
-        math.sqrt(wts["z"]), math.sqrt(wts["xx"] + wts["yy"])))
+    circ.add("CRY", (q1, q2), eps=e,
+             angle=splitter_angle(wts["xx"] + wts["yy"], wts["z"]))
     neg(q1)
-    circ.add("CRY", (q1, q2), eps=e, angle=2 * math.atan2(
-        math.sqrt(wts["zsq"]), math.sqrt(wts["zeven"] + wts["zodd"])))
+    circ.add("CRY", (q1, q2), eps=e,
+             angle=splitter_angle(wts["zeven"] + wts["zodd"], wts["zsq"]))
     # split the kinetic pair evenly, then set the zeven/zodd ratio
     neg(q2)
     circ.add("CH", (q2, q3))
@@ -782,7 +779,7 @@ def p1(params: ModelParams, eps: float, short_circuit: bool = True
     neg(q2)
     circ.add("TOFFOLI", (q1, q2, h2))
     neg(q2)
-    theta3 = 2 * math.atan2(math.sqrt(wts["zodd"]), math.sqrt(wts["zeven"]))
+    theta3 = splitter_angle(wts["zeven"], wts["zodd"])
     circ.add("CRY", (h2, q3), angle=theta3 - math.pi / 2, eps=e)
     neg(q2)
     circ.add("TOFFOLI", (q1, q2, h2), charged=False)

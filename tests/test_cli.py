@@ -237,11 +237,19 @@ def test_ae_usage_errors(capsys, argv):
     assert err.startswith("error: ")
 
 
-def test_ae_seed_environment_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("SCHWINGER_BE_SEED", "abc")
-    code, out, err = run(capsys, "ae", "--omega", "0.5", "--runs", "1")
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and "SCHWINGER_BE_SEED" in err
+def test_ae_seed_defaults_to_zero(capsys):
+    args = ("ae", "--omega", "0.5", "--runs", "2")
+    assert run(capsys, *args) == run(capsys, *args, "--seed", "0")
+
+
+@pytest.mark.parametrize("command", ["verify", "ae"])
+def test_format_is_usage_error_where_ignored(capsys, command):
+    """Only the tabular commands (estimate, dynamics, physical) take
+    --format; verify and ae write JSON alone."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--format", "csv"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bits", ["0", "-1", "32"])

@@ -566,19 +566,33 @@ def test_p1_formula_instantiates_at_n16():
 
 
 def test_p1_rejects_negative_branch_weight():
+    from schwinger_be.model import normalization
     p = benchmark_params(8)
     bad = type(p)(n_sites=8, spacing=0.2, mass=0.1, coupling=1.0,
                   theta=-math.pi / 2)
+    # alpha_S is defined there; only the preparation refuses the weight
+    assert normalization(bad).weights["zeven"] < 0
     with pytest.raises(ValueError):
         sub.p1(bad, 1e-2)
 
 
 def test_branch_weights_sum_to_alpha():
-    from schwinger_be.model import normalization
-    for n in (8, 16, 64):
-        p = benchmark_params(n)
-        wts = sub.branch_weights(p)
-        assert sum(wts.values()) == pytest.approx(normalization(p).alpha_s)
+    """alpha_S is, bit for bit, the left-to-right sum of the six weights P1
+    loads, in the order xx, yy, z, zeven, zodd, zsq."""
+    from schwinger_be.model import BENCHMARK, ModelParams, normalization
+    rng = np.random.default_rng(29)
+    draws = rng.uniform((0.01, 0, 0, 0), (2, 3, 3, 7), (20, 4)).tolist()
+    points = [BENCHMARK] + [dict(spacing=a, mass=m, coupling=g, theta=t)
+                            for a, m, g, t in draws]
+    for pt in points:
+        for n in range(2, 4097, 2):
+            p = ModelParams(n_sites=n, **pt)
+            wts = sub.branch_weights(p)
+            assert list(wts) == ["xx", "yy", "z", "zeven", "zodd", "zsq"]
+            total = 0.0
+            for w in wts.values():
+                total += w
+            assert normalization(p).alpha_s == total
 
 
 # -- builder reports -----------------------------------------------------------------
