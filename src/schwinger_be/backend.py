@@ -41,8 +41,8 @@ gathers two settings at a time.  Each amplitude gets the same
 floating-point operations whatever the block size and whether its row
 moved whole, so the states depend on neither.
 
-A dense kernel updates its state in place, or, given ``out``, leaves it as
-it is and writes the result to ``out``: straight from the input where the
+A dense kernel updates a writeable state in place; it leaves a read-only
+one as it is and writes a fresh vector: straight from the input where the
 kernel writes every amplitude, else after copying the input there first.
 
 A sparse state written out as a dense vector costs memory by its support.
@@ -184,27 +184,24 @@ def _mix(a, b, c, d, x0, x1, y0, y1) -> None:
     y1 += t
 
 
-def _dst(state: np.ndarray, out, whole: bool) -> np.ndarray:
-    """The array a dense kernel writes: ``state`` itself without ``out``;
-    else ``out``, first filled with a copy of ``state`` unless the kernel
-    writes ``whole`` of it.  The kernel reads ``state`` either way."""
-    if out is None:
+def _dst(state: np.ndarray, whole: bool) -> np.ndarray:
+    """The array a dense kernel writes: ``state`` if writeable, else a fresh
+    vector, a copy of ``state`` unless the kernel writes ``whole`` of it."""
+    if state.flags.writeable:
         return state
-    if not whole:
-        np.copyto(out, state)
-    return out
+    return np.empty_like(state) if whole else state.copy()
 
 
-def apply_1q_ctrl(state, mat, tbit, cmask=0, cval=0, out=None):
+def apply_1q_ctrl(state, mat, tbit, cmask=0):
     """Apply the 2x2 ``mat`` to bit ``tbit`` of the basis states whose
-    ``cmask`` bits equal ``cval``.  A dense ``state`` is updated in place,
-    or, given ``out``, left as it is and the result written to ``out``."""
+    ``cmask`` bits are all 1.  A writeable dense ``state`` is updated in
+    place; a read-only one is left as it is (see ``_dst``)."""
     a, b, c, d = mat.ravel()
     if isinstance(state, Sparse):
         idx, amp = state
         rest = Sparse(idx[:0], amp[:0])
         if cmask:  # else every entry is acted on
-            act = (idx & cmask) == cval
+            act = (idx & cmask) == cmask
             rest = Sparse(idx[~act], amp[~act])
             idx, amp = idx[act], amp[act]
         hi = (idx & tbit) != 0
@@ -227,9 +224,9 @@ def apply_1q_ctrl(state, mat, tbit, cmask=0, cval=0, out=None):
     # a diagonal gate's own path: without it dense-sim ran about 10% slower.
     # It leaves a half whose factor is 1 alone.
     diagonal = b == 0 and c == 0
-    acted = [(i, s) for i, s in ((cval, a), (cval | tbit, d))
+    acted = [(i, s) for i, s in ((cmask, a), (cmask | tbit, d))
              if not diagonal or s != 1]
-    dst = _dst(state, out, not cmask and len(acted) == 2)
+    dst = _dst(state, not cmask and len(acted) == 2)
     v, at = _split(state, mask)
     w, _ = _split(dst, mask)
     if diagonal:
@@ -238,8 +235,8 @@ def apply_1q_ctrl(state, mat, tbit, cmask=0, cval=0, out=None):
         for i, s in acted:
             np.multiply(s, v[at(i)], out=w[at(i)])
         return dst
-    x0, x1 = v[at(cval)], v[at(cval | tbit)]
-    y0, y1 = w[at(cval)], w[at(cval | tbit)]
+    x0, x1 = v[at(cmask)], v[at(cmask | tbit)]
+    y0, y1 = w[at(cmask)], w[at(cmask | tbit)]
     row = mask & -mask
     if 1 < row < BLOCK // 4 and x0.ndim > 1:
         # short rows, more than one per half: each block's rows move whole
@@ -268,29 +265,28 @@ def _rotate(x: np.ndarray, phase, out: np.ndarray) -> None:
         out.real, out.imag = x.real * c - x.imag * d, x.real * d + x.imag * c
 
 
-def apply_phase_pattern(state, mask, val, phase, out=None):
+def apply_phase_pattern(state, mask, val, phase):
     """Multiply the amplitudes of the basis states whose ``mask`` bits equal
-    ``val`` by ``phase``.  A dense ``state`` is updated in place, or, given
-    ``out``, left as it is and the result written to ``out``."""
+    ``val`` by ``phase``.  A writeable dense ``state`` is updated in place;
+    a read-only one is left as it is (see ``_dst``)."""
     if isinstance(state, Sparse):
         sel = (state.idx & mask) == val
         x = state.amp[sel]
         _rotate(x, phase, x)
         state.amp[sel] = x
         return state if abs(phase) == 1 else _pruned(state)
-    dst = _dst(state, out, not mask)
+    dst = _dst(state, not mask)
     v, at = _split(state, mask)
     _rotate(v[at(val)], phase, _split(dst, mask)[0][at(val)])
     return dst
 
 
-def apply_permutation(state, index_map, mask, out=None):
+def apply_permutation(state, index_map, mask):
     """Relabel each basis state |i> as |index_map(i)>.
 
     ``index_map`` maps int64 index arrays; it must be a bijection that
-    changes only the bits in ``mask`` and depends only on them.  A dense
-    ``state`` is updated in place, or, given ``out``, left as it is and the
-    result written to ``out``.
+    changes only the bits in ``mask`` and depends only on them.  A writeable
+    dense ``state`` is updated in place, a read-only one left as it is.
     """
     if isinstance(state, Sparse):
         return _sorted(index_map(state.idx), state.amp)
@@ -300,7 +296,7 @@ def apply_permutation(state, index_map, mask, out=None):
             local = np.concatenate((local, local | (1 << p)))
     image = index_map(local)
     moved = image != local
-    dst = _dst(state, out, moved.all())
+    dst = _dst(state, moved.all())
     if moved.any():
         (v, at), (w, _) = _split(state, mask), _split(dst, mask)
         src, to = local[moved], image[moved]

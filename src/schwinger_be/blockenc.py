@@ -13,8 +13,7 @@ Verification therefore runs on two other paths:
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -121,11 +120,6 @@ class VerificationRecord:
     t_count_formula: float
     t_count_tally: float
     passed: bool
-
-    def to_json(self) -> str:
-        d = asdict(self)
-        d["schema_version"] = 1
-        return json.dumps(d, sort_keys=True)
 
 
 SEMANTIC_LIMIT = 16

@@ -8,8 +8,9 @@ functions of this module, and the closed forms in
 tally equals its formula: ``rotation_cost`` (a single-qubit rotation
 synthesized to operator norm error eps costs 4*ceil(log2(1/eps)) + C with
 C = 5 + 4*log2(1+sqrt(2)), eps = ``ROTATION_EPSILON`` for a rotation that
-carries no budget), ``reflection_cost`` (an s-qubit reflection about a basis
-pattern costs 4s-8, and nothing below s = 2), by bit width
+carries no budget; its log term is ``rotation_log_cost``), ``reflection_cost``
+(an s-qubit reflection about a basis pattern costs 4s-8, and nothing below
+s = 2), by bit width
 ``ineq_cost`` (comparator), ``sub_cost`` (subtractor, constant adder,
 leading-zero unary mask) and ``cswap_cost`` (a swap under one control, or
 two if ``controlled``), and ``unary_iteration_cost`` (a SELECT over L
@@ -78,11 +79,17 @@ class Gate:
     label: str = ""
 
 
+def rotation_log_cost(ratio: float) -> int:
+    """The log term of a rotation's price, 4*ceil(log2(ratio)), at
+    ``ratio`` = 1/eps."""
+    return 4 * math.ceil(math.log2(ratio))
+
+
 def rotation_cost(eps: float | None) -> float:
     """T cost of one rotation synthesized to error ``eps``
     (``ROTATION_EPSILON`` when the gate carries no budget)."""
     e = ROTATION_EPSILON if eps is None else eps
-    return 4 * math.ceil(math.log2(1 / e)) + C_ROT
+    return rotation_log_cost(1 / e) + C_ROT
 
 
 def reflection_cost(s: int) -> int:

@@ -116,7 +116,8 @@ def cmd_verify(args) -> int:
         params = model.benchmark_params(args.N)
         estimator.check_encoding_size(args.N)
         rec = blockenc.verify(params, args.epsilon, mode=args.mode)
-        _emit(args, rec.to_json() + "\n")
+        doc = {**asdict(rec), "schema_version": SCHEMA_VERSION}
+        _emit(args, json.dumps(doc, sort_keys=True) + "\n")
         return 0 if rec.passed else 1
     report = {"schema_version": SCHEMA_VERSION, "suite": args.suite,
               "failures": failures, "passed": not failures}

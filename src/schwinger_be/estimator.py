@@ -26,8 +26,8 @@ import sys
 from dataclasses import dataclass
 
 from .circuit import (C_ROT, ResourceReport, cswap_cost, ineq_cost,
-                      reflection_cost, rotation_cost, sub_cost,
-                      unary_iteration_cost)
+                      reflection_cost, rotation_cost, rotation_log_cost,
+                      sub_cost, unary_iteration_cost)
 from .model import (ModelParams, OutOfRangeError, benchmark_params,
                     normalization)
 
@@ -65,7 +65,7 @@ def clog2(x) -> int:
 def uni_cost(m: int, eps: float, controlled: bool = False) -> float:
     ft = factor_two(m)
     l = clog2(ft.r)
-    t = 8 * clog2(2 / eps) + 12 * l + 2 * C_ROT - 4
+    t = 2 * rotation_log_cost(2 / eps) + 12 * l + 2 * C_ROT - 4
     if controlled:
         t += 4 * ft.z + 4 * l + 12
     return t
@@ -270,9 +270,9 @@ def evolution_cost(params: ModelParams, t: float,
     phase_ratio = 18 * (2 * r + 1) / eps
     if not math.isfinite(phase_ratio):
         raise OutOfRangeError(f"eps = {eps:.6g} is too small to price")
-    lg = clog2(phase_ratio)
-    t_total = (r * (3 * chs + 48 * lg + 24 * b + 12 * C_ROT + 24)
-               + 3 * chs + 24 * lg + 40 * b + 6 * C_ROT + 120)
+    lg = rotation_log_cost(phase_ratio)
+    t_total = (r * (3 * chs + 12 * lg + 24 * b + 12 * C_ROT + 24)
+               + 3 * chs + 6 * lg + 40 * b + 6 * C_ROT + 120)
     if not math.isfinite(t_total):
         raise OutOfRangeError(f"t = {t:.6g} is out of the closed forms' range")
     return _encoding_report(t_total, n, n + 2 * b + 5)

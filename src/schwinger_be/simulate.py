@@ -22,8 +22,8 @@ The statevector simulator keeps a state in one of two forms (see
 amplitudes, and those amplitudes), or dense, as all 2^n amplitudes.  A
 basis-index input starts sparse and turns dense for the rest of the
 circuit once the support holds more than ``2^n >> DENSE_SHIFT``
-amplitudes; a vector input is simulated dense throughout, and its first
-gate writes a fresh vector, so the caller's is left as it was.  Either way
+amplitudes; a vector input is simulated dense throughout, read-only to the
+kernels, so its first gate writes a fresh vector.  Either way
 it returns the dense vector.  A result whose support is at most one
 amplitude per 4 KiB page comes from ``backend.zero_vector``, so past 4 MiB
 it holds in memory only the pages its support touches; so does
@@ -178,12 +178,11 @@ def gate_index_map(g: Gate, n: int, idx: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _apply_select(state, g: Gate, n: int, out=None):
+def _apply_select(state, g: Gate, n: int):
     """Each term ``a`` is a Pauli string controlled on the control pattern
     and on address ``a``: X X or Y Y on ``sys[a], sys[a+1]``, Z on ``sys[a]``
     (times (-1)^a for SEL_Z).  X X relabels |i> as |i ^ flip>, flip the two
-    bits; Y Y is the same relabelling times -1 where the two bits agree.
-    ``out`` is as in ``_apply``: the first kernel writes to it."""
+    bits; Y Y is the same relabelling times -1 where the two bits agree."""
     nc, ba = g.splits
     ctrls = g.qubits[:nc]
     addr = g.qubits[nc:nc + ba]
@@ -196,7 +195,7 @@ def _apply_select(state, g: Gate, n: int, out=None):
             flip = _bit(n, sys[a]) | _bit(n, sys[a + 1])
             state = backend.apply_permutation(
                 state, lambda idx, val=val, flip=flip: idx ^ np.where(
-                    (idx & cmask) == val, flip, 0), cmask | flip, out)
+                    (idx & cmask) == val, flip, 0), cmask | flip)
             if g.kind == "SEL_YY":
                 for bits in (0, flip):
                     state = backend.apply_phase_pattern(
@@ -206,44 +205,38 @@ def _apply_select(state, g: Gate, n: int, out=None):
             # an odd SEL_Z term flips the sign where its Z does not
             flip = g.kind == "SEL_Z" and a % 2
             state = backend.apply_phase_pattern(
-                state, cmask | b0, val | (0 if flip else b0), -1.0, out)
+                state, cmask | b0, val | (0 if flip else b0), -1.0)
         else:  # pragma: no cover
             raise ValueError(g.kind)
-        out = None
-    if out is not None:  # no terms
-        np.copyto(out, state)
-        state = out
     return state
 
 
-def _apply(state, g: Gate, n: int, out=None):
-    """``g`` applied to ``state``.  A dense ``state`` is updated in place,
-    or, given ``out``, left as it is and the result written to ``out``."""
+def _apply(state, g: Gate, n: int):
+    """``g`` applied to ``state``; see ``backend._dst`` for a dense one."""
     k = g.kind
     if k in SELECTS:
-        return _apply_select(state, g, n, out)
+        return _apply_select(state, g, n)
     if k in PERMUTATION_KINDS:
         return backend.apply_permutation(
             state, functools.partial(gate_index_map, g, n),
-            _mask(n, g.qubits), out)
+            _mask(n, g.qubits))
     if k in ("REFLECT", "PHASE0"):
         mask = _mask(n, g.qubits)
         val = _place(n, g.qubits, g.pattern if g.pattern >= 0 else 0)
         if k == "REFLECT":
-            state = backend.apply_phase_pattern(state, 0, 0, -1.0, out)
+            state = backend.apply_phase_pattern(state, 0, 0, -1.0)
             return backend.apply_phase_pattern(state, mask, val, -1.0)
         return backend.apply_phase_pattern(state, mask, val,
-                                           np.exp(1j * g.angle), out)
+                                           np.exp(1j * g.angle))
     if k == "CZ":
         mask = _mask(n, g.qubits)
-        return backend.apply_phase_pattern(state, mask, mask, -1.0, out)
+        return backend.apply_phase_pattern(state, mask, mask, -1.0)
     # a one-qubit kind: its base matrix on the last qubit, where all the
     # leading qubits (none for H .. RZ, one for CH, CRY, CRZ) are 1
     base = UNCONTROLLED.get(k, k)
     mat = _ROTATION[base](g.angle) if base in _ROTATION else _MAT_1Q[base]
     cmask = _mask(n, g.qubits[:-1])
-    return backend.apply_1q_ctrl(state, mat, _bit(n, g.qubits[-1]), cmask,
-                                 cmask, out)
+    return backend.apply_1q_ctrl(state, mat, _bit(n, g.qubits[-1]), cmask)
 
 
 def simulate_statevector(circuit: Circuit, input_state=None,
@@ -252,33 +245,30 @@ def simulate_statevector(circuit: Circuit, input_state=None,
 
     A basis index (the default is 0) is simulated sparse while its support
     holds at most ``2^n >> DENSE_SHIFT`` amplitudes and dense from then on.
-    A vector is simulated dense and left as it was: the first gate reads it
-    and writes a fresh vector, which the later gates update in place.  The
-    result is the dense vector either way.
+    A vector is simulated dense and left as it was: the first gate gets it
+    read-only and writes a fresh vector, which the later gates update in
+    place.  The result is a writeable dense vector either way.
     """
     n = circuit.n_qubits
     if n > limit:
         raise ValueError(f"{n} qubits exceeds the simulation limit {limit}")
     dim = 1 << n
     max_support = dim >> DENSE_SHIFT
-    out = None
     if input_state is None or np.isscalar(input_state):
         start = range(dim)[int(input_state or 0)]
         state = backend.Sparse(np.array([start], dtype=np.int64),
                                np.ones(1, dtype=complex))
     else:
-        state = np.ascontiguousarray(input_state, dtype=complex)
+        state = np.ascontiguousarray(input_state, dtype=complex).view()
         if state.shape != (dim,):
             raise ValueError("input state has wrong dimension")
-        if not circuit.gates:
-            return state.copy()
-        out = np.empty(dim, dtype=complex)
+        state.flags.writeable = False
     for g in circuit.gates:
-        state = _apply(state, g, n, out)
-        out = None
+        state = _apply(state, g, n)
         if isinstance(state, backend.Sparse) and state.idx.size > max_support:
             state = backend.to_vector(state, dim)
-    return backend.to_vector(state, dim)
+    state = backend.to_vector(state, dim)
+    return state if state.flags.writeable else state.copy()  # no gate wrote
 
 
 #: index bits a sparse run may use: an int64 index less its sign bit, and one

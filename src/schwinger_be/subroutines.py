@@ -578,14 +578,6 @@ def p_s3(n: int, eps: float, controlled: bool = False,
 # -- prefix-uniform map P_2 --------------------------------------------------------
 
 
-def chebyshev_t(order: float, x: float) -> float:
-    """Chebyshev T_order(x) for fractional order, any real x."""
-    if abs(x) <= 1:
-        return math.cos(order * math.acos(x))
-    sign = 1.0 if x > 0 else math.cos(math.pi * order)
-    return math.cosh(order * math.acosh(abs(x))) * sign
-
-
 def fixed_point_phases(d: int, delta: float) -> tuple[np.ndarray, np.ndarray]:
     """Generalized-reflection phases for fixed-point amplification.
 
@@ -599,7 +591,8 @@ def fixed_point_phases(d: int, delta: float) -> tuple[np.ndarray, np.ndarray]:
     if not 0 < delta < 1:
         raise ValueError("delta must be in (0,1)")
     l = (d - 1) // 2
-    gamma_inv = chebyshev_t(1.0 / d, 1.0 / math.sqrt(delta))
+    # T_{1/d}(1/sqrt(delta)), a Chebyshev polynomial at x > 1
+    gamma_inv = math.cosh(1.0 / d * math.acosh(1.0 / math.sqrt(delta)))
     s = math.sqrt(max(0.0, 1.0 - 1.0 / gamma_inv ** 2))
     alphas = np.empty(l)
     for j in range(1, l + 1):

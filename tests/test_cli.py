@@ -4,7 +4,7 @@ import json
 import pytest
 
 from schwinger_be import ae, blockenc, estimator, model
-from schwinger_be.cli import main
+from schwinger_be.cli import SCHEMA_VERSION, main
 
 
 def run(capsys, *argv):
@@ -49,6 +49,8 @@ def test_verify_block_pass(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["passed"] and doc["measured_error"] <= 1e-2
+    # the CLI stamps the record's schema as it stamps every artifact
+    assert doc["schema_version"] == SCHEMA_VERSION
 
 
 def test_verify_rejects_odd_n(capsys):

@@ -377,7 +377,7 @@ def test_dense_kernels_do_not_depend_on_block_size(monkeypatch):
             for cmask in {0, below, above, (1 << n) - 1 - t}:
                 got = _at_each_block(
                     monkeypatch, lambda: backend.apply_1q_ctrl(
-                        vec.copy(), u, t, cmask, cmask))
+                        vec.copy(), u, t, cmask))
                 want = vec.copy()
                 _ref_1q(want, u, t, cmask, cmask)
                 assert _same_bits(got), (n, k, cmask)
@@ -424,7 +424,8 @@ def test_simulator_keeps_input_and_checks():
     got = simulate_statevector(wide, vec)
     assert np.array_equal(vec, keep)
     assert np.max(np.abs(got - _ref_simulate(wide, keep))) <= 1e-12
-    # a first gate of each dense family, writing every amplitude or not
+    # a first gate of each dense family, writing every amplitude or not,
+    # and no gate at all: the result is a fresh writeable vector
     for g in (Gate("CRY", (14, 3), angle=0.7), Gate("RY", (9,), angle=1.9),
               Gate("RZ", (12,), angle=0.4), Gate("CZ", (1, 15)),
               Gate("REFLECT", (0, 5, 13), pattern=-1),
@@ -433,14 +434,34 @@ def test_simulator_keeps_input_and_checks():
                    pattern=1),
               Gate("SEL_Z", (1, 2, 6), splits=(1, 1), n_terms=0),
               Gate("ADDC", (2, 5, 6, 7, 12), width=5, const=11),
-              Gate("CNOT", (4, 8))):
+              Gate("CNOT", (4, 8)), None):
         one = Circuit()
         one.add_register("q", n)
-        one.append(g)
+        if g is not None:
+            one.append(g)
         got = simulate_statevector(one, vec)
         assert np.array_equal(vec, keep), g
-        assert not np.shares_memory(got, vec), g
-        assert np.array_equal(got, simulate._apply(vec.copy(), g, n)), g
+        assert got.flags.writeable and not np.shares_memory(got, vec), g
+        want = vec if g is None else simulate._apply(vec.copy(), g, n)
+        assert np.array_equal(got, want), g
+    # each kernel leaves a read-only dense state as it is and writes what
+    # it writes in place into a fresh vector
+    frozen = vec.view()
+    frozen.flags.writeable = False
+    t, c = _bit(n, 5), _bit(n, 2)
+    for kernel, args in (
+            (backend.apply_1q_ctrl, (_ry(0.3), t)),
+            (backend.apply_1q_ctrl, (_ry(0.3), t, c)),
+            (backend.apply_1q_ctrl, (_MAT_1Q["T"], t, c)),
+            (backend.apply_phase_pattern, (0, 0, -1.0)),
+            (backend.apply_phase_pattern, (t | c, c, np.exp(0.4j))),
+            (backend.apply_permutation, (lambda i: i ^ t, t)),
+            (backend.apply_permutation,
+             (lambda i: i ^ (i & c) // c * t, c | t))):
+        got = kernel(frozen, *args)
+        assert np.array_equal(vec, keep), (kernel, args)
+        assert got.flags.writeable and not np.shares_memory(got, vec)
+        assert np.array_equal(got, kernel(vec.copy(), *args)), (kernel, args)
     assert simulate_statevector(circ, -1)[7] == pytest.approx(-1 / math.sqrt(2))
     with pytest.raises(IndexError):
         simulate_statevector(circ, 8)

@@ -554,6 +554,31 @@ def test_p1_tally(n):
     assert rep.t_real == pytest.approx(est.p1_cost(n, 1e-3))
 
 
+#: T the default, short-circuited P1 saves on its closed form at every
+#: power-of-two N from 8 to 256, by eps
+P1_SHORT_CIRCUIT_SAVING = {1e-2: 1518.2415435290159, 1e-4: 2246.241543529016}
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256])
+@pytest.mark.parametrize("eps", EPS_GRID)
+def test_closed_forms_at_table3_sizes(n, eps):
+    # Table 3's sizes are powers of two, where the closed forms price
+    # neither builder mode.  The general UNI charges 12 l - 4 for its
+    # comparisons and reflection, -4 at l = 0, where the uncontrolled
+    # one-qubit reflection costs 0; P_S3 holds eight such UNIs.
+    def uni(controlled):
+        return sub.uni(n, eps, controlled=controlled,
+                       short_circuit=False)[1].t_real
+
+    assert uni(False) == pytest.approx(est.uni_cost(n, eps) + 4)
+    assert uni(True) == pytest.approx(est.uni_cost(n, eps, controlled=True))
+    p, cost = benchmark_params(n), est.p1_cost(n, eps)
+    assert sub.p1(p, eps, short_circuit=False)[1].t_real == pytest.approx(
+        cost + 32)
+    assert sub.p1(p, eps)[1].t_real == pytest.approx(
+        cost - P1_SHORT_CIRCUIT_SAVING[eps])
+
+
 def test_p1_formula_instantiates_at_n16():
     # closed form at N=16 with per-rotation ceiling
     val = est.p1_cost(16, 1e-2)
