@@ -215,14 +215,12 @@ class Circuit:
             raise ValueError(f"register {name!r} already exists")
         if width < 0:
             raise ValueError("register width must be >= 0")
-        qubits = []
-        self._free.sort()
-        while self._free and len(qubits) < width:
-            qubits.append(self._free.pop(0))
-        while len(qubits) < width:
-            qubits.append(self._n_slots)
-            self._n_slots += 1
-        reg = _Register(name, tuple(qubits), is_ancilla, reusable)
+        self._free.sort()  # the lowest free slots first, then fresh ones
+        reused = self._free[:width]
+        del self._free[:width]
+        fresh = range(self._n_slots, self._n_slots + width - len(reused))
+        self._n_slots += len(fresh)
+        reg = _Register(name, (*reused, *fresh), is_ancilla, reusable)
         self.registers[name] = reg
         self._events.append(("alloc", name))
         return reg.qubits
@@ -246,9 +244,9 @@ class Circuit:
         n = self.n_qubits
         if len(set(gate.qubits)) != len(gate.qubits):
             raise ValueError(f"duplicate operands in {gate}")
-        for q in gate.qubits:
-            if not 0 <= q < n:
-                raise ValueError(f"qubit {q} out of range for {n}-qubit circuit")
+        if gate.qubits and not 0 <= min(gate.qubits) <= max(gate.qubits) < n:
+            q = next(q for q in gate.qubits if not 0 <= q < n)
+            raise ValueError(f"qubit {q} out of range for {n}-qubit circuit")
         if gate.kind not in KINDS:
             raise ValueError(f"unknown gate kind {gate.kind}")
         if not math.isfinite(gate.angle):

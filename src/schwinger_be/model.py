@@ -5,7 +5,8 @@ nearest-neighbor hopping, a staggered mass term, and all-to-all ZZ
 interactions from the electric energy.  The Hamiltonian is grouped into six
 coefficient classes (XX, YY, single-Z mass, the two staggered cumulative-Z
 ladders, and the squared cumulative-Z term) plus a scalar shift; that
-grouping is what the block-encoding assembles term by term.
+grouping is what the block-encoding assembles term by term.  A term's group
+names its Pauli, so a term stores only its coefficient and its sites.
 
 The hopping XX + YY conserves the number of ones and every other term is
 diagonal, so the Neel vacuum never leaves the half-filled sector of
@@ -15,8 +16,8 @@ from which both the vacuum persistence amplitude G(t) = <vac|exp(-iHt)|vac>
 and the particle production density are read, up to N = SECTOR_LIMIT.
 Every matrix of H, the full 2^N one of ``to_dense`` (up to DENSE_LIMIT) and
 the sector block, comes from one builder, and both refuse terms that do not
-conserve the charge: an XX string without a YY twin on the same two sites
-with the same coefficient, or a string off the diagonal.
+conserve the charge: an XX term without a YY twin on the same two sites
+with the same coefficient.  The Z groups are diagonal by construction.
 """
 from __future__ import annotations
 
@@ -90,22 +91,25 @@ def benchmark_params(n_sites: int) -> ModelParams:
 @dataclass(frozen=True)
 class PauliString:
     coefficient: float
-    letters: str  # one of I,X,Y,Z per site
+    sites: tuple[int, ...]  # increasing site indices; () is the identity
 
     def __post_init__(self):
         if not math.isfinite(self.coefficient):
             raise ValueError("coefficient must be finite")
-        if set(self.letters) - set("IXYZ"):
-            raise ValueError(f"bad Pauli letters {self.letters!r}")
+        if any(map(operator.ge, (-1,) + self.sites, self.sites)):
+            raise ValueError(f"sites {self.sites} are not increasing from 0")
 
 
 @dataclass(frozen=True)
 class HamiltonianTerms:
     """Six term groups plus the scalar shift.
 
-    The sum of the six groups is the modified Hamiltonian the encoding
-    targets; adding ``constant_shift`` times identity recovers the full
-    Hamiltonian exactly.
+    A term is its coefficient times its group's Pauli on each of its sites:
+    X on the two sites of an ``xx`` term, Y on those of a ``yy`` term, and
+    Z on each site of any other term (one site, or two or none in
+    ``z_squared``).  The six groups sum to the modified Hamiltonian the
+    encoding targets; adding ``constant_shift`` times identity recovers the
+    full Hamiltonian exactly.
     """
     n_sites: int
     xx: tuple[PauliString, ...]
@@ -118,7 +122,7 @@ class HamiltonianTerms:
 
     @property
     def diagonal(self) -> tuple[PauliString, ...]:
-        """Every group but the hopping: the Z strings."""
+        """Every group but the hopping: the Z terms."""
         return self.z + self.z_even + self.z_odd + self.z_squared
 
 
@@ -142,22 +146,14 @@ class DenseOperator:
             raise ValueError("matrix dimension does not match qubit count")
 
 
-def _string(n: int, sites_letters: dict[int, str]) -> str:
-    return "".join(sites_letters.get(i, "I") for i in range(n))
-
-
 def build_hamiltonian(params: ModelParams) -> HamiltonianTerms:
     """Six term groups plus the scalar dropped when forming the modified
     Hamiltonian that the block-encoding targets."""
     n = params.n_sites
     w, j, m = params.w, params.j, params.mass
 
-    xx = tuple(PauliString(w / 2, _string(n, {i: "X", i + 1: "X"}))
-               for i in range(n - 1))
-    yy = tuple(PauliString(w / 2, _string(n, {i: "Y", i + 1: "Y"}))
-               for i in range(n - 1))
-    z = tuple(PauliString(m / 2 * (-1) ** i, _string(n, {i: "Z"}))
-              for i in range(n))
+    hop = tuple(PauliString(w / 2, (i, i + 1)) for i in range(n - 1))
+    z = tuple(PauliString(m / 2 * (-1) ** i, (i,)) for i in range(n))
 
     z_even, z_odd, z_squared = [], [], []
     shift = 0.0
@@ -169,21 +165,20 @@ def build_hamiltonian(params: ModelParams) -> HamiltonianTerms:
             group = z_even if outer % 2 == 0 else z_odd
             if coeff != 0:
                 for i in range(outer):
-                    group.append(PauliString(coeff, _string(n, {i: "Z"})))
+                    group.append(PauliString(coeff, (i,)))
             # the encoded squared term is the Chebyshev-shifted square
             # (j/8) outer^2 (2 M^2 - I) with M = (1/outer) sum_{i<outer} Z_i,
             # i.e. (j/4)(sum Z_i)^2 - (j/8) outer^2; expanding the square
             # leaves identity weight (j/4) outer - (j/8) outer^2 plus pairs
             ident = j / 4 * outer - j / 8 * outer ** 2
             if ident != 0:
-                z_squared.append(PauliString(ident, _string(n, {})))
+                z_squared.append(PauliString(ident, ()))
             for i in range(outer):
                 for k in range(i + 1, outer):
-                    z_squared.append(
-                        PauliString(j / 2, _string(n, {i: "Z", k: "Z"})))
+                    z_squared.append(PauliString(j / 2, (i, k)))
 
     return HamiltonianTerms(
-        n_sites=n, xx=xx, yy=yy, z=z,
+        n_sites=n, xx=hop, yy=hop, z=z,
         z_even=tuple(z_even), z_odd=tuple(z_odd),
         z_squared=tuple(z_squared), constant_shift=shift)
 
@@ -209,7 +204,7 @@ def normalization(params: ModelParams) -> NormalizationConstants:
 
 def to_dense(terms: HamiltonianTerms,
              include_shift: bool = False) -> DenseOperator:
-    """The full 2^N matrix: the Z strings' sum (plus the shift, if asked)
+    """The full 2^N matrix: the Z terms' sum (plus the shift, if asked)
     on the diagonal, the hopping off it."""
     n = terms.n_sites
     _check_limit(n, DENSE_LIMIT, "dense")
@@ -245,36 +240,29 @@ def z_signs(n_sites: int) -> np.ndarray:
 
 
 def z_diagonal(strings, zs: np.ndarray) -> np.ndarray:
-    """Diagonal of a sum of I/Z strings on the basis states whose Z signs
-    are the columns of ``zs``, added string by string in the order given.
+    """Diagonal of a sum of Z-group terms on the basis states whose Z signs
+    are the columns of ``zs``, added term by term in the order given.
     Each term is +-coefficient exactly, so a sum over ``terms.diagonal`` is
-    the one ``to_dense`` puts on its diagonal, bit for bit.  Raises
-    ``ValueError`` on a string with an X or Y, which has no diagonal."""
+    the one ``to_dense`` puts on its diagonal, bit for bit."""
     out = np.zeros(zs.shape[1])
     term = np.empty_like(out)
     for ps in strings:
         term.fill(ps.coefficient)
-        for site, letter in enumerate(ps.letters):
-            if letter == "Z":
-                term *= zs[site]
-            elif letter != "I":
-                raise ValueError(f"{ps.letters} is not an I/Z string")
+        for site in ps.sites:
+            term *= zs[site]
         out += term
     return out
 
 
 def _check_charge(terms: HamiltonianTerms) -> None:
-    """Raise unless the terms conserve the number of ones: every XX string
-    has a YY partner on the same two sites with the same coefficient, and
-    every other string is diagonal."""
-    xx = sorted((ps.letters.replace("X", "Y"), ps.coefficient)
-                for ps in terms.xx)
-    yy = sorted((ps.letters, ps.coefficient) for ps in terms.yy)
-    if (xx != yy or any(s.replace("I", "") != "YY" for s, _ in yy)
-            or any(set(ps.letters) - set("IZ") for ps in terms.diagonal)):
+    """Raise unless the terms conserve the number of ones: every XX term
+    has a YY partner on the same two sites with the same coefficient.  The
+    other groups apply only Z."""
+    xx = sorted((ps.sites, ps.coefficient) for ps in terms.xx)
+    if (xx != sorted((ps.sites, ps.coefficient) for ps in terms.yy)
+            or any(len(s) != 2 for s, _ in xx)):
         raise ValueError("the terms do not conserve the charge: the hopping "
-                         "is not XX + YY on site pairs, or a term is not "
-                         "diagonal")
+                         "is not XX + YY on site pairs")
 
 
 @lru_cache(maxsize=1)
@@ -301,7 +289,7 @@ def _hamiltonian(terms: HamiltonianTerms, basis: np.ndarray, zs: np.ndarray,
     np.fill_diagonal(h, diag + terms.constant_shift if include_shift
                      else diag)
     for ps in terms.xx + terms.yy:
-        i, k = (s for s, c in enumerate(ps.letters) if c != "I")
+        i, k = ps.sites
         rows = np.flatnonzero(zs[i] != zs[k])
         flip = (1 << (n - 1 - i)) | (1 << (n - 1 - k))
         h[rows, np.searchsorted(basis, basis[rows] ^ flip)] += ps.coefficient

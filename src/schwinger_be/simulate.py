@@ -22,8 +22,9 @@ The statevector simulator keeps a state in one of two forms (see
 amplitudes, and those amplitudes), or dense, as all 2^n amplitudes.  A
 basis-index input starts sparse and turns dense for the rest of the
 circuit once the support holds more than ``2^n >> DENSE_SHIFT``
-amplitudes; a vector input is simulated dense throughout, read-only to the
-kernels, so its first gate writes a fresh vector.  Either way
+amplitudes; a vector input is simulated dense throughout, and read-only to
+the kernels where it is the caller's memory, so its first gate writes a
+fresh vector.  Either way
 it returns the dense vector.  A result whose support is at most one
 amplitude per 4 KiB page comes from ``backend.zero_vector``, so past 4 MiB
 it holds in memory only the pages its support touches; so does
@@ -55,6 +56,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -244,10 +246,12 @@ def simulate_statevector(circuit: Circuit, input_state=None,
     """Exact amplitudes of ``circuit`` applied to a basis state or vector.
 
     A basis index (the default is 0) is simulated sparse while its support
-    holds at most ``2^n >> DENSE_SHIFT`` amplitudes and dense from then on.
-    A vector is simulated dense and left as it was: the first gate gets it
-    read-only and writes a fresh vector, which the later gates update in
-    place.  The result is a writeable dense vector either way.
+    holds at most ``2^n >> DENSE_SHIFT`` amplitudes and dense from then on;
+    an index outside ``0 <= i < 2^n`` raises ``ValueError``.  A vector is
+    simulated dense and left as it was: converted to complex into a private
+    copy if need be, which the gates update in place, else handed to the
+    first gate read-only, which writes a fresh vector.  The result is a
+    writeable dense vector either way.
     """
     n = circuit.n_qubits
     if n > limit:
@@ -255,14 +259,18 @@ def simulate_statevector(circuit: Circuit, input_state=None,
     dim = 1 << n
     max_support = dim >> DENSE_SHIFT
     if input_state is None or np.isscalar(input_state):
-        start = range(dim)[int(input_state or 0)]
+        start = 0 if input_state is None else operator.index(input_state)
+        if not 0 <= start < dim:
+            raise ValueError(f"basis index {start} is outside 0..{dim - 1}")
         state = backend.Sparse(np.array([start], dtype=np.int64),
                                np.ones(1, dtype=complex))
     else:
-        state = np.ascontiguousarray(input_state, dtype=complex).view()
+        state = np.ascontiguousarray(input_state, dtype=complex)
         if state.shape != (dim,):
             raise ValueError("input state has wrong dimension")
-        state.flags.writeable = False
+        if np.may_share_memory(state, input_state):
+            state = state.view()
+            state.flags.writeable = False
     for g in circuit.gates:
         state = _apply(state, g, n)
         if isinstance(state, backend.Sparse) and state.idx.size > max_support:

@@ -8,12 +8,23 @@ import pytest
 from schwinger_be import model as M
 
 
-def _add_string(h: np.ndarray, n: int, ps: M.PauliString) -> None:
+#: the Pauli each group of ``HamiltonianTerms`` applies on a term's sites
+GROUP_PAULI = {"xx": "X", "yy": "Y", "z": "Z", "z_even": "Z", "z_odd": "Z",
+               "z_squared": "Z"}
+
+
+def _letters(n: int, pauli: str, sites) -> str:
+    """The N-letter string of ``pauli`` on ``sites`` and I elsewhere."""
+    return "".join(pauli if k in sites else "I" for k in range(n))
+
+
+def _add_string(h: np.ndarray, n: int, coefficient: float,
+                letters: str) -> None:
     dim = 1 << n
     idx = np.arange(dim)
     img = idx.copy()
     phase = np.ones(dim, dtype=complex)
-    for site, letter in enumerate(ps.letters):
+    for site, letter in enumerate(letters):
         if letter == "I":
             continue
         bitpos = 1 << (n - 1 - site)
@@ -25,7 +36,7 @@ def _add_string(h: np.ndarray, n: int, ps: M.PauliString) -> None:
             phase = phase * np.where(bit, -1j, 1j)
         else:  # Z
             phase = phase * np.where(bit, -1.0, 1.0)
-    h[img, idx] += ps.coefficient * phase
+    h[img, idx] += coefficient * phase
 
 
 def eq13_dense(p):
@@ -44,11 +55,11 @@ def eq13_dense(p):
     h += np.diag(diag)
     for i in range(n - 1):
         for pauli in ("X", "Y"):
-            _add_string(h, n, M.PauliString(p.w / 2, "".join(
-                pauli if k in (i, i + 1) else "I" for k in range(n))))
+            _add_string(h, n, p.w / 2, "".join(
+                pauli if k in (i, i + 1) else "I" for k in range(n)))
     for i in range(n):
-        _add_string(h, n, M.PauliString(p.mass / 2 * (-1) ** i, "".join(
-            "Z" if k == i else "I" for k in range(n))))
+        _add_string(h, n, p.mass / 2 * (-1) ** i, "".join(
+            "Z" if k == i else "I" for k in range(n)))
     return h
 
 
@@ -71,13 +82,13 @@ def test_build_hamiltonian_n2_structure():
     p = M.benchmark_params(2)
     t = M.build_hamiltonian(p)
     assert len(t.xx) == 1 and t.xx[0].coefficient == pytest.approx(1.25)
-    assert t.xx[0].letters == "XX"
+    assert t.xx[0].sites == (0, 1)
     assert len(t.yy) == 1
     assert [ps.coefficient for ps in t.z] == pytest.approx([0.05, -0.05])
     assert t.z_even == ()
     assert len(t.z_odd) == 1
     assert t.z_odd[0].coefficient == pytest.approx(0.1)
-    assert t.z_odd[0].letters == "ZI"
+    assert t.z_odd[0].sites == (0,)
     assert len(t.z_squared) == 1
 
 
@@ -127,10 +138,10 @@ def test_norm_dominated_by_alpha(n):
 def test_hermiticity_of_groups():
     p = M.benchmark_params(6)
     t = M.build_hamiltonian(p)
-    for group in (t.xx, t.yy, t.z, t.z_even, t.z_odd, t.z_squared):
+    for name, pauli in GROUP_PAULI.items():
         h = np.zeros((64, 64), dtype=complex)
-        for ps in group:
-            _add_string(h, 6, ps)
+        for ps in getattr(t, name):
+            _add_string(h, 6, ps.coefficient, _letters(6, pauli, ps.sites))
         assert np.allclose(h, h.conj().T)
 
 
@@ -298,8 +309,9 @@ def test_to_dense_is_the_sum_of_every_string(n):
                                               mass=0.2, coupling=1.1,
                                               theta=0.7))
     h = np.zeros((1 << n, 1 << n), dtype=complex)
-    for ps in terms.xx + terms.yy + terms.diagonal:
-        _add_string(h, n, ps)
+    for name, pauli in GROUP_PAULI.items():  # xx, yy, then terms.diagonal
+        for ps in getattr(terms, name):
+            _add_string(h, n, ps.coefficient, _letters(n, pauli, ps.sites))
     assert np.array_equal(M.to_dense(terms).matrix, h)
     h += terms.constant_shift * np.eye(1 << n)
     assert np.array_equal(M.to_dense(terms, include_shift=True).matrix, h)
@@ -332,10 +344,30 @@ def test_charge_check_refuses_unpaired_hopping():
                      + terms.yy[1:])
     with pytest.raises(ValueError, match="conserve the charge"):
         M.sector_hamiltonian(broken)
-    offdiagonal = replace(terms, z=(M.PauliString(0.1, "XIIIII"),))
-    with pytest.raises(ValueError, match="conserve the charge"):
-        M.sector_hamiltonian(offdiagonal)
     with pytest.raises(ValueError, match="conserve the charge"):
         M.to_dense(broken)
-    with pytest.raises(ValueError, match="conserve the charge"):
-        M.to_dense(offdiagonal)
+    # a negative site would wrap in a Z-sign lookup; a repeated or unordered
+    # one would not say which product the term means
+    for sites in ((-1,), (2, 2), (3, 1), (0, -1)):
+        with pytest.raises(ValueError, match="not increasing from 0"):
+            M.PauliString(0.1, sites)
+
+
+#: how many sites a term of each group acts on
+GROUP_ARITY = {"xx": {2}, "yy": {2}, "z": {1}, "z_even": {1}, "z_odd": {1},
+               "z_squared": {0, 2}}
+
+
+def test_terms_store_increasing_in_range_sites():
+    for n in range(2, 33, 2):
+        t = M.build_hamiltonian(M.ModelParams(n_sites=n, spacing=0.3,
+                                              mass=0.2, coupling=1.1,
+                                              theta=0.7))
+        for name, arity in GROUP_ARITY.items():
+            for ps in getattr(t, name):
+                assert len(ps.sites) in arity, (n, name, ps)
+                assert list(ps.sites) == sorted(set(ps.sites)), (n, name)
+                assert all(0 <= s < n for s in ps.sites), (n, name, ps)
+            if name in ("xx", "yy"):
+                assert [ps.sites for ps in getattr(t, name)] == [
+                    (i, i + 1) for i in range(n - 1)], n

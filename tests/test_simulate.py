@@ -424,6 +424,21 @@ def test_simulator_keeps_input_and_checks():
     got = simulate_statevector(wide, vec)
     assert np.array_equal(vec, keep)
     assert np.max(np.abs(got - _ref_simulate(wide, keep))) <= 1e-12
+    # a real vector is converted once, into a private copy that the gates
+    # update in place: it peaks no higher than a complex vector does
+    real = vec.real.copy()
+    peaks = []
+    for v in (real, vec):
+        tracemalloc.start()
+        try:
+            got = simulate_statevector(wide, v)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert np.array_equal(real, keep.real) and np.array_equal(vec, keep)
+    assert np.max(np.abs(simulate_statevector(wide, real) - _ref_simulate(
+        wide, real.astype(complex)))) <= 1e-12
+    assert peaks[0] <= peaks[1] + (1 << 16), peaks
     # a first gate of each dense family, writing every amplitude or not,
     # and no gate at all: the result is a fresh writeable vector
     for g in (Gate("CRY", (14, 3), angle=0.7), Gate("RY", (9,), angle=1.9),
@@ -462,9 +477,16 @@ def test_simulator_keeps_input_and_checks():
         assert np.array_equal(vec, keep), (kernel, args)
         assert got.flags.writeable and not np.shares_memory(got, vec)
         assert np.array_equal(got, kernel(vec.copy(), *args)), (kernel, args)
-    assert simulate_statevector(circ, -1)[7] == pytest.approx(-1 / math.sqrt(2))
-    with pytest.raises(IndexError):
-        simulate_statevector(circ, 8)
+    # a basis index is an integer in 0 <= i < 2^n: no wrap, no truncation
+    for start in (7, np.int64(7)):
+        assert simulate_statevector(circ, start)[7] == pytest.approx(
+            -1 / math.sqrt(2))
+    for bad in (-1, 8, 1 << 40):
+        with pytest.raises(ValueError, match="outside"):
+            simulate_statevector(circ, bad)
+    for bad in (2.9, 2.0, np.float64(0.0)):
+        with pytest.raises(TypeError):
+            simulate_statevector(circ, bad)
     with pytest.raises(ValueError):
         simulate_statevector(circ, np.ones(4))
     with pytest.raises(ValueError, match="unknown gate kind"):
